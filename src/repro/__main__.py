@@ -14,10 +14,9 @@ sweep
     (checkpointed, resumable execution), ``--checkpoint-every N`` (mid-cell
     snapshots, so ``--resume`` restarts inside an interrupted cell), ``--audit``
     (runtime invariant checking), ``--retries`` and ``--cell-timeout``
-    (per-cell isolation).  Cells run under the **process supervisor** by
-    default: ``--workers N`` parallel worker processes (``--workers 0``
-    falls back to the legacy in-process path), hard SIGKILL timeouts,
-    ``--heartbeat-timeout`` hang detection, ``--memory-limit-mb``
+    (per-cell isolation).  Every cell runs in its own supervised worker
+    process: ``--workers N`` (at least 1) in parallel, hard SIGKILL
+    timeouts, ``--heartbeat-timeout`` hang detection, ``--memory-limit-mb``
     per-worker budgets (structured ``oom`` status),
     ``--quarantine-after`` crash quarantine, and graceful SIGINT/SIGTERM
     shutdown that leaves the journal byte-identically resumable (exit
@@ -103,7 +102,8 @@ from .resilience.bisect import (
     record_resumed_trail,
 )
 from .resilience.faults import TRACE_FAULTS, ChaosPolicy
-from .resilience.sweep import SweepJournal, run_resilient_sweep
+from .resilience.supervisor import run_resilient_sweep
+from .resilience.sweep import SweepJournal
 from .workloads.registry import all_workloads, get_workload
 
 #: Journal used by ``sweep --resume`` when ``--journal`` is not given.
@@ -183,7 +183,7 @@ def _cmd_sweep(args) -> int:
         cell_timeout_s=args.cell_timeout,
         audit=args.audit,
         checkpoint_every=args.checkpoint_every,
-        workers=args.workers if args.workers > 0 else None,
+        workers=args.workers,
         quarantine_after=args.quarantine_after,
         heartbeat_timeout_s=args.heartbeat_timeout,
         memory_limit_mb=args.memory_limit_mb,
@@ -536,9 +536,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="process-supervised worker count (default 1: serial, "
-        "byte-identical journals; 0 falls back to the in-process path "
-        "whose timeouts cannot reclaim CPU)",
+        help="parallel worker processes, at least 1 (default 1: serial, "
+        "journaled in matrix order)",
     )
     sweep_parser.add_argument(
         "--quarantine-after",

@@ -11,13 +11,13 @@ Five pillars, each usable on its own:
   golden per-component state digests;
 * :mod:`repro.resilience.bisect` — binary-search two runs' digest trails
   for the first diverging interval boundary and component;
-* :mod:`repro.resilience.sweep` — a checkpointing sweep runner with
-  per-cell isolation, retries, timeouts, ``--resume``, and mid-cell
-  snapshot restart;
-* :mod:`repro.resilience.supervisor` — the process-isolated execution
-  engine behind ``workers=N``: one OS process per cell, hard SIGKILL
-  timeouts, heartbeat hang detection, memory budgets, crash quarantine,
-  and graceful SIGINT/SIGTERM shutdown;
+* :mod:`repro.resilience.sweep` — the sweep journal, crash ledger, and
+  report types that make a sweep resumable;
+* :mod:`repro.resilience.supervisor` — the sweep runner,
+  ``run_resilient_sweep``: one OS process per cell, retries, hard
+  SIGKILL timeouts, heartbeat hang detection, memory budgets, crash
+  quarantine, ``--resume`` with mid-cell snapshot restart, and graceful
+  SIGINT/SIGTERM shutdown;
 * :mod:`repro.resilience.fuzz` / :mod:`repro.resilience.minimize` — a
   seeded generative differential fuzzer (reference-vs-fast engines,
   kill-and-resume identity, invariant auditing, taxonomy containment)
@@ -60,7 +60,7 @@ from .faults import (
     run_fault_campaign,
     truncate_trace,
 )
-from .supervisor import WorkerTask, run_supervised_sweep
+from .supervisor import WorkerTask, run_resilient_sweep
 from .fuzz import (
     CORPUS_VERSION,
     FUZZ_CASE_VERSION,
@@ -84,7 +84,6 @@ from .sweep import (
     SweepCell,
     SweepJournal,
     SweepReport,
-    run_resilient_sweep,
 )
 
 __all__ = [
@@ -141,5 +140,4 @@ __all__ = [
     "SweepReport",
     "WorkerTask",
     "run_resilient_sweep",
-    "run_supervised_sweep",
 ]

@@ -1,17 +1,19 @@
-"""Process-isolated sweep execution: workers, heartbeats, quarantine.
+"""The sweep runner: every cell in its own supervised OS process.
 
-The in-process sweep runner (:mod:`repro.resilience.sweep`) isolates
-cells from each other's *exceptions*, but it cannot isolate them from
-each other's *processes*: a hung cell keeps burning its CPU after the
-daemon-thread "timeout" abandons it, a native crash (OOM kill,
-``sys.exit``, interpreter abort) takes the whole sweep down, and nothing
-runs in parallel.  This module is the execution engine that closes those
-gaps — every cell runs in its own OS process under a supervisor loop:
+:func:`run_resilient_sweep` executes a (workload × configuration) matrix
+with the failure modes of long batch jobs in mind.  A Python thread
+cannot be killed and a native crash (OOM kill, ``sys.exit``, interpreter
+abort) takes its whole process down, so the only isolation that holds is
+a process boundary: each cell runs in a worker process under a
+supervisor loop, with
 
-* **N parallel workers** (``workers``; 1 preserves the serial journal
-  order and hence the byte-identity contract with in-process runs);
+* **per-cell isolation and retries** — a cell's exception is marshalled
+  back as a ``failed`` status and retried ``retries`` times with
+  exponential backoff; the matrix continues;
+* **N parallel workers** (``workers``; 1 dispatches in matrix order,
+  so the journal is byte-identical to the canonical pipeline's rows);
 * **hard SIGKILL timeouts** — a cell over its wall-clock budget is
-  killed, not abandoned, actually reclaiming the core;
+  killed, actually reclaiming the core;
 * **heartbeats** — workers pump a heartbeat pipe at every drain-loop
   boundary (the same boundaries the checkpoint hook fires at), so a hang
   is detected as soon as the beat stops, before the timeout expires;
@@ -26,6 +28,9 @@ gaps — every cell runs in its own OS process under a supervisor loop:
   in-flight workers, which drain to the next boundary, flush a mid-cell
   snapshot, and report ``interrupted``; the journal is left
   byte-identically resumable.
+
+The journal, crash ledger and report types live in
+:mod:`repro.resilience.sweep`.
 
 Crash-retried cells get a **snapshot handoff**: the next worker claims
 the crashed attempt's last mid-cell snapshot (validated, and discarded
@@ -51,6 +56,7 @@ from ..errors import (
     MemoryBudgetError,
     QuarantinedCellError,
     SweepError,
+    UnknownWorkloadError,
     WorkerCrashError,
 )
 from .faults import ChaosPolicy
@@ -74,6 +80,10 @@ _POLL_INTERVAL_S = 0.05
 #: How long a worker that already sent its result may take to exit
 #: before the supervisor kills it anyway.
 _EXIT_GRACE_S = 5.0
+
+#: After SIGINT/SIGTERM, how long drained workers get to flush their
+#: snapshots and exit before the supervisor SIGKILLs them.
+_GRACEFUL_TIMEOUT_S = 30.0
 
 
 class _GracefulExit(Exception):
@@ -329,7 +339,7 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def run_supervised_sweep(
+def run_resilient_sweep(
     workloads,
     config_names: tuple[str, ...] = CONFIG_NAMES,
     settings=None,
@@ -347,19 +357,46 @@ def run_supervised_sweep(
     heartbeat_timeout_s: float | None = None,
     memory_limit_mb: int | None = None,
     chaos: ChaosPolicy | None = None,
-    graceful_timeout_s: float = 30.0,
     metrics: bool = False,
 ) -> SweepReport:
-    """Run the matrix with every cell in its own supervised OS process.
+    """Run the (workload × configuration) matrix, one process per cell.
 
-    Accepts the :func:`repro.resilience.sweep.run_resilient_sweep`
-    surface plus the supervision knobs:
+    ``workloads`` must be registered workloads (the objects
+    :func:`repro.workloads.registry.get_workload` returns): workers
+    rebuild each cell from its registry name, so anything else raises
+    :class:`repro.errors.SweepError` before a cell is dispatched.
 
+    Parameters beyond the matrix itself:
+
+    ``journal_path`` / ``resume``
+        Enable the checkpoint journal; with ``resume`` the journal's
+        completed cells are replayed instead of re-simulated.
+    ``retries`` / ``backoff_s``
+        Extra attempts per cell whose worker raised, with exponential
+        backoff.  Timeouts and memory-budget breaches are not retried.
+    ``cell_timeout_s``
+        Wall-clock budget per attempt; a worker over it is SIGKILLed.
+    ``audit``
+        Attach a fresh :class:`repro.resilience.InvariantAuditor` to
+        every cell.
+    ``max_cells``
+        Stop after this many *executed* cells (test hook that simulates a
+        mid-matrix kill; remaining cells are reported as ``skipped``).
+    ``progress``
+        Optional callable invoked with each finished :class:`SweepCell`.
+    ``checkpoint_every``
+        Snapshot the in-flight cell's full simulation state every N
+        interval boundaries (see :mod:`repro.resilience.checkpoint`),
+        next to the journal.  With ``resume``, a surviving snapshot
+        restores the interrupted cell *mid-trace* instead of restarting
+        it; the snapshot is deleted once its cell completes.  Requires a
+        ``journal_path``.
     ``workers``
-        Parallel worker processes.  1 (the default) dispatches cells in
-        matrix order one at a time, so the journal is byte-identical to
-        an in-process serial run; >1 journals rows in completion order
-        (cell *content* stays deterministic — compare journals with
+        Parallel worker processes, at least 1.  1 (the default)
+        dispatches cells in matrix order one at a time, so the journal is
+        byte-identical to rows built straight from the canonical
+        pipeline; >1 journals rows in completion order (cell *content*
+        stays deterministic — compare journals with
         :meth:`repro.resilience.sweep.SweepJournal.digest`).
     ``quarantine_after``
         A cell whose worker crashes (dies without reporting) this many
@@ -376,9 +413,6 @@ def run_supervised_sweep(
     ``chaos``
         A :class:`repro.resilience.faults.ChaosPolicy` injected into the
         workers — fault injection aimed at this supervisor itself.
-    ``graceful_timeout_s``
-        After SIGINT/SIGTERM, how long drained workers get to flush
-        snapshots and exit before SIGKILL.
     ``metrics``
         Enable per-worker telemetry: each worker runs its cell with an
         :class:`repro.observability.Observability` hub, streams
@@ -396,6 +430,7 @@ def run_supervised_sweep(
         raise SweepError(f"quarantine_after must be >= 1, got {quarantine_after}")
     settings = settings or ExperimentSettings()
     workloads = list(workloads)
+    _require_registered(workloads)
     fingerprint = _fingerprint([w.name for w in workloads], config_names, settings)
     journal = SweepJournal(journal_path) if journal_path is not None else None
     ledger = CrashLedger(journal.path if journal is not None else None)
@@ -472,7 +507,7 @@ def run_supervised_sweep(
                     entry.killed_for = "shutdown"
                     entry.process.terminate()  # SIGTERM → drain at boundary
                 shutdown.signalled = True
-                shutdown.deadline = now + graceful_timeout_s
+                shutdown.deadline = now + _GRACEFUL_TIMEOUT_S
             if not shutdown.requested:
                 while len(inflight) < workers:
                     slot = _next_ready(pending, now, strict_order=workers == 1)
@@ -535,7 +570,11 @@ def run_supervised_sweep(
     ):
         ledger.reset()  # sweep finished; no crash history to carry forward
     if metrics:
-        from ..observability import aggregate_cell_metrics, write_metrics_sidecar
+        from ..observability import (
+            aggregate_cell_metrics,
+            metrics_sidecar_path,
+            write_metrics_sidecar,
+        )
 
         fresh = {
             _cell_key(cell.workload, cell.configuration): cell.metrics
@@ -543,7 +582,9 @@ def run_supervised_sweep(
             if cell.metrics is not None
         }
         existing = (
-            _metrics_sidecar(journal) if journal is not None and resume else None
+            metrics_sidecar_path(journal.path)
+            if journal is not None and resume
+            else None
         )
         report.metrics = aggregate_cell_metrics(fresh, existing)
         if journal is not None:
@@ -551,15 +592,37 @@ def run_supervised_sweep(
     return report
 
 
-def _metrics_sidecar(journal):
-    from ..observability import metrics_sidecar_path
-
-    return metrics_sidecar_path(journal.path)
-
-
 # ----------------------------------------------------------------------
 # Supervisor loop helpers
 # ----------------------------------------------------------------------
+def _require_registered(workloads) -> None:
+    """Reject workloads a worker could not rebuild from the registry.
+
+    Workers look cells up by registry name (:class:`WorkerTask` carries
+    only the name), so a custom :class:`repro.workloads.base.Workload`
+    that shares a registered name would silently simulate the registry's
+    workload instead, and an unregistered name would fail every attempt
+    inside the worker.
+    """
+    from ..workloads.registry import get_workload
+
+    for workload in workloads:
+        try:
+            registered = get_workload(workload.name)
+        except UnknownWorkloadError:
+            raise SweepError(
+                f"workload {workload.name!r} is not registered; sweep "
+                "workers rebuild every cell from the workload registry"
+            ) from None
+        if registered is not workload:
+            raise SweepError(
+                f"workload {workload.name!r} is not the registered workload "
+                "of that name; sweep workers rebuild every cell from the "
+                "workload registry, so this sweep would simulate the "
+                "registered one instead"
+            )
+
+
 def _settings_spec(settings) -> dict:
     """ExperimentSettings as a kwargs dict that crosses process boundaries."""
     spec = dataclasses.asdict(settings)

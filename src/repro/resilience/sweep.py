@@ -1,22 +1,21 @@
-"""Resilient sweep runner: checkpointed, isolated, resumable matrices.
+"""Sweep bookkeeping: the journal, the crash ledger, and report types.
 
 The paper's figures come from (workload × configuration) sweeps that can
 run for hours at full scale; a crash in cell 47 of 60 must not cost the
-previous 46.  This runner hardens :func:`repro.analysis.experiments.run_matrix`
-with:
+previous 46.  The runner that executes those sweeps is
+:func:`repro.resilience.supervisor.run_resilient_sweep` (every cell in
+its own supervised OS process).  This module holds the state it keeps
+between cells and across runs:
 
-* **per-cell isolation** — one cell's exception never kills the sweep;
-  the cell is marked failed and the matrix continues;
-* **retry with backoff** — transient failures get ``retries`` further
-  attempts with exponential backoff before the cell is given up;
-* **per-cell wall-clock timeouts** — a hung cell is abandoned (the
-  worker thread is a daemon) and marked ``timeout``;
-* **a JSON checkpoint journal** — every completed cell is appended (and
-  fsynced) to a JSON-lines journal keyed by a fingerprint of the matrix,
-  so an interrupted sweep resumes exactly where it stopped;
-* **partial-result reporting** — the report distinguishes ``ok``,
-  ``resumed`` (loaded from the journal), ``failed``, ``timeout``, and
-  ``skipped`` cells instead of silently dropping them.
+* :class:`SweepJournal` — a JSON-lines checkpoint journal: every
+  completed cell is appended (and fsynced) under a fingerprint of the
+  matrix, so an interrupted sweep resumes exactly where it stopped;
+* :class:`CrashLedger` — per-cell worker-crash tallies kept beside the
+  journal, so a poison cell is quarantined across ``--resume`` cycles;
+* :class:`SweepCell` / :class:`SweepReport` — partial-result reporting
+  that distinguishes ``ok``, ``resumed``, ``failed``, ``timeout`` and the
+  other cell outcomes instead of silently dropping them;
+* :func:`result_row` — the stable journal row of one finished cell.
 
 Determinism contract: a resumed sweep produces byte-identical result rows
 to an uninterrupted one, because rows for already-completed cells are
@@ -26,32 +25,22 @@ the original run would have seeded them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import threading
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import hashlib
-
-from ..analysis.experiments import ExperimentSettings, prepare_run
-from ..core.organizations import CONFIG_NAMES
-from ..errors import SweepError, TransientSimulationError
+from ..analysis.experiments import ExperimentSettings
+from ..errors import SweepError
 from ..ioutils import atomic_write_json, atomic_write_text
-from .auditor import InvariantAuditor
-from .checkpoint import SimulationCheckpointer, resume_from_snapshot
 
 #: Journal schema version.  v2 adds ``{"kind": "quarantined", ...}`` rows
 #: (poison cells the supervisor gave up on); v1 journals had no ``kind``
 #: discriminator, so mis-parsing them silently would surface quarantine
 #: rows as missing cells — loading rejects any other version outright.
 JOURNAL_VERSION = 2
-
-
-class _CellTimeout(Exception):
-    """Internal marker: the cell exceeded its wall-clock budget."""
 
 
 def result_row(result) -> dict:
@@ -282,18 +271,18 @@ class SweepCell:
 
     workload: str
     configuration: str
-    #: ok | resumed | failed | timeout | skipped — plus, under the
-    #: process supervisor: oom (memory budget breached), quarantined
-    #: (poison cell journaled and skipped), interrupted (graceful
-    #: shutdown drained this cell mid-trace; it resumes next run).
+    #: ok | resumed | failed | timeout | skipped | oom (memory budget
+    #: breached) | quarantined (poison cell journaled and skipped) |
+    #: interrupted (graceful shutdown drained this cell mid-trace; it
+    #: resumes next run).
     status: str
     row: dict | None = None
     error: str | None = None
     attempts: int = 0
     seconds: float = 0.0
     #: Final observability snapshot (``metrics=True`` sweeps only).  For a
-    #: crashed/timed-out cell under the supervisor this is the last
-    #: heartbeat's cumulative snapshot — best-effort, never authoritative.
+    #: crashed/timed-out cell this is the last heartbeat's cumulative
+    #: snapshot — best-effort, never authoritative.
     metrics: dict | None = None
 
     @property
@@ -340,347 +329,8 @@ class SweepReport:
         return ", ".join(f"{status}: {count}" for status, count in sorted(counts.items()))
 
 
-def _run_with_timeout(fn, timeout_s: float | None):
-    """Run ``fn`` with a wall-clock budget; raise :class:`_CellTimeout`.
-
-    This is the **in-process fallback** (``workers=None``), kept for
-    platforms and callers that cannot fork (and for in-process test hooks
-    like ``checkpoint_hook_factory``).  Python cannot kill a thread, so
-    on timeout the daemon worker is *abandoned* and keeps burning a CPU
-    until the interpreter exits — the cell's wall clock is reclaimed, its
-    core is not.  That silent leak is why the process supervisor
-    (``workers=N`` / ``--workers``) is the default execution engine: it
-    SIGKILLs the timed-out worker process and actually frees the core.
-    A warning makes the leak visible whenever this path must abandon a
-    thread.
-    """
-    if timeout_s is None:
-        return fn()
-    box: dict = {}
-
-    def target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 — marshalled to caller
-            box["error"] = exc
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(timeout_s)
-    if worker.is_alive():
-        warnings.warn(
-            f"cell exceeded its {timeout_s} s budget in the in-process "
-            "timeout path; the worker thread cannot be killed and will "
-            "keep consuming CPU until the process exits. Use the process "
-            "supervisor (workers=N / --workers) for hard-kill timeouts.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        raise _CellTimeout(f"cell exceeded {timeout_s} s")
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
 def _cell_checkpoint_path(journal_path: Path, key: str) -> Path:
     """Snapshot file for one in-flight cell, derived from the journal path."""
     safe_key = key.replace("|", "--").replace(os.sep, "_")
     return journal_path.with_name(f"{journal_path.name}.{safe_key}.ckpt")
 
-
-def run_resilient_sweep(
-    workloads,
-    config_names: tuple[str, ...] = CONFIG_NAMES,
-    settings: ExperimentSettings | None = None,
-    journal_path=None,
-    resume: bool = False,
-    retries: int = 1,
-    backoff_s: float = 0.05,
-    cell_timeout_s: float | None = None,
-    audit: bool = False,
-    max_cells: int | None = None,
-    progress=None,
-    checkpoint_every: int | None = None,
-    checkpoint_hook_factory=None,
-    workers: int | None = None,
-    quarantine_after: int = 3,
-    heartbeat_timeout_s: float | None = None,
-    memory_limit_mb: int | None = None,
-    chaos=None,
-    metrics: bool = False,
-) -> SweepReport:
-    """Run the (workload × configuration) matrix with full hardening.
-
-    Parameters beyond the matrix itself:
-
-    ``journal_path`` / ``resume``
-        Enable the checkpoint journal; with ``resume`` the journal's
-        completed cells are replayed instead of re-simulated.
-    ``retries`` / ``backoff_s``
-        Extra attempts per failing cell with exponential backoff
-        (:class:`repro.errors.TransientSimulationError` and any other
-        exception alike; timeouts are not retried).
-    ``cell_timeout_s``
-        Wall-clock budget per attempt.
-    ``audit``
-        Attach a fresh :class:`InvariantAuditor` to every cell.
-    ``max_cells``
-        Stop after this many *executed* cells (test hook that simulates a
-        mid-matrix kill; remaining cells are reported as ``skipped``).
-    ``progress``
-        Optional callable invoked with each finished :class:`SweepCell`.
-    ``checkpoint_every``
-        Snapshot the in-flight cell's full simulation state every N
-        interval boundaries (see :mod:`repro.resilience.checkpoint`),
-        next to the journal.  With ``resume``, a surviving snapshot
-        restores the interrupted cell *mid-trace* instead of restarting
-        it; the snapshot is deleted once its cell completes.  Requires a
-        ``journal_path``.
-    ``checkpoint_hook_factory``
-        Test hook: ``factory(checkpointer)`` is called with each cell's
-        :class:`SimulationCheckpointer` before the run starts (e.g. to
-        set ``abort_after`` and simulate a mid-cell kill).
-    ``workers``
-        ``None`` (default) keeps this in-process execution path.  Any
-        integer ≥ 1 delegates the whole sweep to the **process
-        supervisor** (:mod:`repro.resilience.supervisor`): every cell in
-        its own OS process, hard SIGKILL timeouts, heartbeat hang
-        detection, memory budgets, crash quarantine, and graceful
-        SIGINT/SIGTERM shutdown.  ``quarantine_after``,
-        ``heartbeat_timeout_s``, ``memory_limit_mb``, and ``chaos``
-        (a :class:`repro.resilience.faults.ChaosPolicy`) only apply
-        there.
-    ``metrics``
-        Run every cell with an :class:`repro.observability.Observability`
-        hub and aggregate the per-cell snapshots onto ``report.metrics``
-        (and, with a journal, into the ``<journal>.metrics.json``
-        sidecar).  The journal itself stays byte-identical to a
-        metrics-off sweep — telemetry never enters result rows.
-    """
-    if workers is not None:
-        if checkpoint_hook_factory is not None:
-            raise SweepError(
-                "checkpoint_hook_factory is an in-process test hook; it "
-                "cannot cross the worker process boundary (use chaos=... "
-                "or workers=None)"
-            )
-        from .supervisor import run_supervised_sweep
-
-        return run_supervised_sweep(
-            workloads,
-            config_names,
-            settings,
-            journal_path=journal_path,
-            resume=resume,
-            retries=retries,
-            backoff_s=backoff_s,
-            cell_timeout_s=cell_timeout_s,
-            audit=audit,
-            max_cells=max_cells,
-            progress=progress,
-            checkpoint_every=checkpoint_every,
-            workers=workers,
-            quarantine_after=quarantine_after,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            memory_limit_mb=memory_limit_mb,
-            chaos=chaos,
-            metrics=metrics,
-        )
-
-    settings = settings or ExperimentSettings()
-    workloads = list(workloads)
-    fingerprint = _fingerprint([w.name for w in workloads], config_names, settings)
-    journal = SweepJournal(journal_path) if journal_path is not None else None
-    journal_state = JournalState()
-    if journal is not None:
-        if resume and journal.exists():
-            journal_state = journal.load_state(fingerprint)
-        else:
-            # Fresh sweep (or resume with nothing to resume yet).
-            journal.start(fingerprint)
-    elif resume:
-        raise SweepError("--resume requires a journal path")
-    if checkpoint_every is not None and journal is None:
-        raise SweepError("checkpoint_every requires a journal path")
-    completed = journal_state.completed
-
-    report = SweepReport()
-    executed = 0
-    for workload in workloads:
-        for config_name in config_names:
-            key = _cell_key(workload.name, config_name)
-            if key in journal_state.quarantined:
-                info = journal_state.quarantined[key]
-                cell = SweepCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    status="quarantined",
-                    error=info.get("error"),
-                    attempts=info.get("crashes", 0),
-                )
-                report.cells.append(cell)
-                if progress is not None:
-                    progress(cell)
-                continue
-            checkpoint_path = (
-                _cell_checkpoint_path(journal.path, key)
-                if checkpoint_every is not None
-                else None
-            )
-            if key in completed:
-                if checkpoint_path is not None and checkpoint_path.exists():
-                    checkpoint_path.unlink()  # stale: the cell is journaled
-                cell = SweepCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    status="resumed",
-                    row=completed[key],
-                )
-                report.cells.append(cell)
-                if progress is not None:
-                    progress(cell)
-                continue
-            if max_cells is not None and executed >= max_cells:
-                report.interrupted = True
-                cell = SweepCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    status="skipped",
-                )
-                report.cells.append(cell)
-                continue
-            cell = _run_cell(
-                workload,
-                config_name,
-                settings,
-                retries=retries,
-                backoff_s=backoff_s,
-                cell_timeout_s=cell_timeout_s,
-                audit=audit,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                resume_cell=resume,
-                checkpoint_hook_factory=checkpoint_hook_factory,
-                metrics=metrics,
-            )
-            executed += 1
-            if cell.completed and journal is not None:
-                journal.append(key, cell.row)
-                if checkpoint_path is not None and checkpoint_path.exists():
-                    checkpoint_path.unlink()  # resume point superseded
-            report.cells.append(cell)
-            if progress is not None:
-                progress(cell)
-    if metrics:
-        from ..observability import (
-            aggregate_cell_metrics,
-            metrics_sidecar_path,
-            write_metrics_sidecar,
-        )
-
-        fresh = {
-            _cell_key(cell.workload, cell.configuration): cell.metrics
-            for cell in report.cells
-            if cell.metrics is not None
-        }
-        existing = (
-            metrics_sidecar_path(journal.path)
-            if journal is not None and resume
-            else None
-        )
-        report.metrics = aggregate_cell_metrics(fresh, existing)
-        if journal is not None:
-            write_metrics_sidecar(journal.path, report.metrics)
-    return report
-
-
-def _run_cell(
-    workload,
-    config_name: str,
-    settings: ExperimentSettings,
-    retries: int,
-    backoff_s: float,
-    cell_timeout_s: float | None,
-    audit: bool,
-    checkpoint_path: Path | None = None,
-    checkpoint_every: int | None = None,
-    resume_cell: bool = False,
-    checkpoint_hook_factory=None,
-    metrics: bool = False,
-) -> SweepCell:
-    """One isolated cell: attempts, backoff, timeout, structured outcome."""
-    cell = SweepCell(workload=workload.name, configuration=config_name, status="failed")
-    started = time.perf_counter()
-    delay = backoff_s
-    for attempt in range(retries + 1):
-        cell.attempts = attempt + 1
-        try:
-            def simulate(attempt=attempt):
-                observability = None
-                if metrics:
-                    from ..observability import Observability
-
-                    observability = Observability()
-                auditor = InvariantAuditor() if audit else None
-                prepared = prepare_run(
-                    workload,
-                    config_name,
-                    settings,
-                    auditor=auditor,
-                    on_fault="record",
-                    observability=observability,
-                )
-                resume_state = None
-                if (
-                    resume_cell
-                    and attempt == 0
-                    and checkpoint_path is not None
-                    and checkpoint_path.exists()
-                ):
-                    # Mid-cell restart: restore the interrupted simulation
-                    # instead of re-running its prefix.  Retries start
-                    # clean — a snapshot that keeps failing to restore
-                    # must not poison every attempt.
-                    resume_state = resume_from_snapshot(prepared, checkpoint_path)
-                hook = None
-                if checkpoint_path is not None and checkpoint_every is not None:
-                    hook = SimulationCheckpointer(
-                        prepared.simulator,
-                        prepared.process,
-                        path=checkpoint_path,
-                        checkpoint_every=checkpoint_every,
-                        meta={
-                            "workload": workload.name,
-                            "configuration": config_name,
-                        },
-                        observability=observability,
-                    )
-                    if checkpoint_hook_factory is not None:
-                        checkpoint_hook_factory(hook)
-                result = prepared.run(
-                    checkpoint_hook=hook, resume_state=resume_state
-                )
-                snapshot = (
-                    observability.snapshot() if observability is not None else None
-                )
-                return result_row(result), snapshot
-
-            cell.row, cell.metrics = _run_with_timeout(simulate, cell_timeout_s)
-            cell.status = "ok"
-            cell.error = None
-            break
-        except _CellTimeout as exc:
-            cell.status = "timeout"
-            cell.error = str(exc)
-            break  # a hung cell will hang again; don't retry
-        except TransientSimulationError as exc:
-            cell.status = "failed"
-            cell.error = f"{type(exc).__name__}: {exc}"
-        except Exception as exc:  # noqa: BLE001 — per-cell isolation
-            cell.status = "failed"
-            cell.error = f"{type(exc).__name__}: {exc}"
-        if attempt < retries:
-            time.sleep(delay)
-            delay *= 2
-    cell.seconds = time.perf_counter() - started
-    return cell

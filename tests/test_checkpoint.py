@@ -41,9 +41,11 @@ from repro.resilience.checkpoint import (
     state_digest,
     write_snapshot,
 )
-from repro.resilience.sweep import run_resilient_sweep
+from repro.resilience.faults import ChaosPolicy
+from repro.resilience.supervisor import run_resilient_sweep
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
+from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5, physical_bytes=1 << 28)
 
@@ -140,30 +142,39 @@ class TestResumeDeterminism:
 
     def test_sweep_killed_mid_cell_resumes_byte_identical(self, tmp_path):
         """The tentpole scenario: kill every cell mid-trace, resume, compare."""
-        workload = small_workload()
+        workload = get_workload("povray")
         configs = ("4KB", "THP", "TLB_Lite")
         reference = run_resilient_sweep(
             [workload], configs, SETTINGS,
             journal_path=tmp_path / "ref.journal", checkpoint_every=1,
+            metrics=True,
         )
         assert reference.summary() == "ok: 3"
 
+        # Every cell's first attempt hangs right after its 4th boundary
+        # snapshot; the heartbeat timeout SIGKILLs it there.
         journal = tmp_path / "sweep.journal"
         killed = run_resilient_sweep(
             [workload], configs, SETTINGS,
-            journal_path=journal, retries=0, checkpoint_every=1,
-            checkpoint_hook_factory=lambda cp: setattr(cp, "abort_after", 4),
+            journal_path=journal, checkpoint_every=1,
+            chaos=ChaosPolicy(hang_at_boundary=4), heartbeat_timeout_s=1.0,
         )
-        assert all(cell.status == "failed" for cell in killed.cells)
+        assert all(cell.status == "timeout" for cell in killed.cells)
         snapshots = list(tmp_path.glob("sweep.journal.*.ckpt"))
         assert len(snapshots) == len(configs)
 
         resumed = run_resilient_sweep(
             [workload], configs, SETTINGS,
             journal_path=journal, resume=True, checkpoint_every=1,
+            metrics=True,
         )
         assert resumed.summary() == "ok: 3"
         assert resumed.rows() == reference.rows()
+        # Each cell restarted mid-trace: it drained only the boundaries
+        # after the snapshot, not the whole trace.
+        for fresh, restored in zip(reference.cells, resumed.cells):
+            full = fresh.metrics["counters"]["sim.boundaries"]
+            assert restored.metrics["counters"]["sim.boundaries"] == full - 4
         # Completed cells delete their resume points.
         assert list(tmp_path.glob("sweep.journal.*.ckpt")) == []
 

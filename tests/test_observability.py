@@ -55,7 +55,8 @@ from repro.resilience.bisect import (
     record_resumed_trail,
 )
 from repro.resilience.checkpoint import SimulationCheckpointer
-from repro.resilience.sweep import run_resilient_sweep
+from repro.resilience.supervisor import run_resilient_sweep
+from repro.workloads.registry import get_workload
 from repro.workloads.tracefile import as_vpn_array
 from tests.fastpath_helpers import (
     SETTINGS,
@@ -431,20 +432,25 @@ class TestResumeInertness:
 SWEEP_CONFIGS = ("4KB", "TLB_Lite")
 
 
+def sweep_workload():
+    """Sweep workers rebuild cells from the registry: a registered workload."""
+    return get_workload("povray")
+
+
 def _journal_body(path):
     """Journal rows minus the header line, order-normalized."""
     return sorted(path.read_text().splitlines()[1:])
 
 
 class TestSweepMetrics:
-    def test_in_process_sweep_journal_is_byte_identical(self, tmp_path):
+    def test_serial_sweep_journal_is_byte_identical(self, tmp_path):
         on = tmp_path / "on.jsonl"
         off = tmp_path / "off.jsonl"
         report = run_resilient_sweep(
-            [small_workload()], SWEEP_CONFIGS, SETTINGS, journal_path=on, metrics=True
+            [sweep_workload()], SWEEP_CONFIGS, SETTINGS, journal_path=on, metrics=True
         )
         bare = run_resilient_sweep(
-            [small_workload()], SWEEP_CONFIGS, SETTINGS, journal_path=off
+            [sweep_workload()], SWEEP_CONFIGS, SETTINGS, journal_path=off
         )
         assert _journal_body(on) == _journal_body(off)
         assert [cell.row for cell in report.cells] == [
@@ -456,7 +462,7 @@ class TestSweepMetrics:
     def test_sidecar_carries_cells_and_totals(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         report = run_resilient_sweep(
-            [small_workload()],
+            [sweep_workload()],
             SWEEP_CONFIGS,
             SETTINGS,
             journal_path=journal,
@@ -465,7 +471,7 @@ class TestSweepMetrics:
         document = read_metrics_sidecar(metrics_sidecar_path(journal))
         assert document["metrics_version"] == METRICS_SIDECAR_VERSION
         assert sorted(document["cells"]) == [
-            f"fastpath|{config}" for config in SWEEP_CONFIGS
+            f"povray|{config}" for config in SWEEP_CONFIGS
         ]
         totals = document["totals"]
         assert totals["counters"]["sim.accesses_drained"] == SETTINGS.trace_accesses * len(
@@ -477,7 +483,7 @@ class TestSweepMetrics:
     def test_resumed_sweep_merges_prior_sidecar(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         first = run_resilient_sweep(
-            [small_workload()],
+            [sweep_workload()],
             SWEEP_CONFIGS,
             SETTINGS,
             journal_path=journal,
@@ -486,7 +492,7 @@ class TestSweepMetrics:
         )
         assert first.interrupted
         second = run_resilient_sweep(
-            [small_workload()],
+            [sweep_workload()],
             SWEEP_CONFIGS,
             SETTINGS,
             journal_path=journal,
@@ -496,17 +502,13 @@ class TestSweepMetrics:
         # The resumed cell never re-ran, so its metrics come from the
         # first run's sidecar; both cells must be present in the merge.
         assert sorted(second.metrics["cells"]) == [
-            f"fastpath|{config}" for config in SWEEP_CONFIGS
+            f"povray|{config}" for config in SWEEP_CONFIGS
         ]
         assert second.metrics["totals"]["counters"][
             "sim.accesses_drained"
         ] == SETTINGS.trace_accesses * len(SWEEP_CONFIGS)
 
     def test_supervised_sweep_reports_worker_metrics(self, tmp_path):
-        # Worker processes rebuild their cell from the registry, so this
-        # test needs a *registered* workload (not the local fixture).
-        from repro.workloads.registry import get_workload
-
         settings = ExperimentSettings(
             trace_accesses=4_000, seed=7, physical_bytes=4 << 30
         )
@@ -633,7 +635,7 @@ class TestMetricsCLI:
 
         journal = tmp_path / "sweep.jsonl"
         run_resilient_sweep(
-            [small_workload()],
+            [sweep_workload()],
             SWEEP_CONFIGS,
             SETTINGS,
             journal_path=journal,
@@ -664,8 +666,6 @@ class TestMetricsCLI:
                 "--journal",
                 str(journal),
                 "--metrics",
-                "--workers",
-                "0",
             ]
         )
         out = capsys.readouterr().out

@@ -5,8 +5,8 @@ mid-cell is retried and the finished journal is byte-identical to an
 unfaulted serial run, memory-budget breaches surface as the structured
 ``oom`` status, poison cells are quarantined and skipped on resume,
 graceful SIGTERM leaves a resumable journal, hung workers are reclaimed
-by heartbeat staleness, and old journal schema versions are rejected
-loudly.
+by heartbeat staleness, old journal schema versions are rejected
+loudly, and only registered workloads are accepted.
 """
 
 import json
@@ -14,14 +14,12 @@ import signal
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings
+from repro.analysis.experiments import ExperimentSettings, prepare_run
 from repro.errors import SweepError
-from repro.resilience import (
-    ChaosPolicy,
-    SweepJournal,
-    run_resilient_sweep,
-    run_supervised_sweep,
-)
+from repro.resilience import ChaosPolicy, SweepJournal, run_resilient_sweep
+from repro.resilience.sweep import result_row
+from repro.workloads.base import VMASpec, Workload
+from repro.workloads.patterns import Zipf
 from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5)
@@ -31,19 +29,28 @@ class TestSupervisedSweep:
     CONFIGS = ("4KB", "THP")
 
     def test_serial_supervised_matches_in_process(self, tmp_path):
-        """workers=1 journals byte-identically to the in-process runner."""
+        """workers=1 journals the canonical pipeline's rows byte for byte."""
         workload = get_workload("povray")
-        in_process = tmp_path / "inproc.jsonl"
-        supervised = tmp_path / "super.jsonl"
-        run_resilient_sweep(
-            [workload], self.CONFIGS, SETTINGS, journal_path=in_process,
-        )
+        journal = tmp_path / "super.jsonl"
         report = run_resilient_sweep(
-            [workload], self.CONFIGS, SETTINGS,
-            journal_path=supervised, workers=1,
+            [workload], self.CONFIGS, SETTINGS, journal_path=journal, workers=1,
         )
         assert report.completed_count == len(self.CONFIGS)
-        assert supervised.read_bytes() == in_process.read_bytes()
+        expected = [
+            json.dumps(
+                {
+                    "key": f"povray|{config}",
+                    "row": result_row(
+                        prepare_run(
+                            workload, config, SETTINGS, on_fault="record"
+                        ).run()
+                    ),
+                },
+                sort_keys=True,
+            )
+            for config in self.CONFIGS
+        ]
+        assert journal.read_text().splitlines()[1:] == expected
 
     def test_sigkill_mid_cell_is_retried_to_identical_journal(self, tmp_path):
         """A worker SIGKILLed mid-cell re-runs; rows match the clean run."""
@@ -80,7 +87,7 @@ class TestSupervisedSweep:
         """A MemoryError inside the worker becomes status 'oom', no retry."""
         workload = get_workload("povray")
         chaos = ChaosPolicy(oom_at_boundary=1)
-        report = run_supervised_sweep(
+        report = run_resilient_sweep(
             [workload], ("THP",), SETTINGS, workers=1, chaos=chaos,
         )
         cell = report.cell("povray", "THP")
@@ -151,7 +158,7 @@ class TestSupervisedSweep:
         """A worker that stops heartbeating is SIGKILLed, not waited on."""
         workload = get_workload("povray")
         chaos = ChaosPolicy(hang_at_boundary=1, hang_seconds=600.0)
-        report = run_supervised_sweep(
+        report = run_resilient_sweep(
             [workload], ("THP",), SETTINGS,
             workers=1, chaos=chaos, heartbeat_timeout_s=0.5,
         )
@@ -160,15 +167,16 @@ class TestSupervisedSweep:
         assert "heartbeat" in cell.error
 
     def test_hard_timeout_sigkills_worker(self):
-        """The wall-clock budget reclaims the CPU (unlike the thread hack)."""
+        """The wall-clock budget SIGKILLs the worker, reclaiming its CPU."""
         workload = get_workload("povray")
         slow = ExperimentSettings(trace_accesses=400_000, seed=5)
-        report = run_supervised_sweep(
+        report = run_resilient_sweep(
             [workload], ("THP",), slow, workers=1, cell_timeout_s=0.2,
         )
         cell = report.cell("povray", "THP")
         assert cell.status == "timeout"
         assert "wall-clock" in cell.error
+        assert cell.attempts == 1  # timeouts are not retried
 
     def test_old_journal_schema_version_is_rejected(self, tmp_path):
         """A v1 journal fails loudly instead of mis-parsing quarantine rows."""
@@ -187,3 +195,39 @@ class TestSupervisedSweep:
                 [workload], ("4KB",), SETTINGS,
                 journal_path=journal, workers=1, resume=True,
             )
+
+    @pytest.mark.parametrize(
+        "name, match",
+        [
+            ("povray", "'povray' is not the registered"),
+            ("not-in-registry", "'not-in-registry' is not registered"),
+        ],
+        ids=["shadows-registered-name", "unregistered-name"],
+    )
+    def test_unregistered_workload_is_rejected(self, name, match, tmp_path):
+        """Workers rebuild cells by name, so a custom workload never runs."""
+        custom = Workload(
+            name,
+            "TEST",
+            [VMASpec("heap", 6)],
+            lambda regions: Zipf(regions["heap"].subregion(0, 24), alpha=1.1),
+        )
+        journal = tmp_path / "custom.jsonl"
+        with pytest.raises(SweepError, match=match):
+            run_resilient_sweep([custom], ("THP",), SETTINGS, journal_path=journal)
+        assert not journal.exists()  # rejected before anything ran
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_cli_rejects_fewer_than_one_worker(self, workers, tmp_path, capsys):
+        from repro.__main__ import main
+
+        journal = tmp_path / "cli.jsonl"
+        code = main([
+            "sweep", "povray", "--accesses", "5000",
+            "--journal", str(journal), "--workers", workers,
+        ])
+        assert code == 2
+        assert f"SweepError: workers must be >= 1, got {workers}" in (
+            capsys.readouterr().err
+        )
+        assert not journal.exists()
