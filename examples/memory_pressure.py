@@ -16,7 +16,7 @@ Run time: ~10 seconds.
 import numpy as np
 
 from repro import PhysicalMemory, Process, TransparentHugePaging
-from repro.core.organizations import build_tlb_lite
+from repro.core.organizations import build_organization
 from repro.core.params import LiteParams
 from repro.core.simulator import Simulator
 from repro.mmu.translation import PAGES_PER_2MB, PageSize
@@ -30,7 +30,8 @@ def main() -> None:
     pages = heap.start_vpn + rng.integers(heap.num_pages, size=40_000)
     trace = np.repeat(pages, 3)[:120_000].astype(np.int64)
 
-    org = build_tlb_lite(
+    org = build_organization(
+        "TLB_Lite",
         process,
         lite_params=LiteParams(interval_instructions=9_000, reactivate_probability=0.0),
         record_history=True,

@@ -10,22 +10,13 @@ from .hierarchy import (
 )
 from .lite import LiteController, LiteIntervalRecord, LiteStats, ResizableUnit
 from .organizations import (
+    CATALOGUE,
     CONFIG_NAMES,
     EXTENDED_CONFIG_NAMES,
     Organization,
-    build_4kb,
-    build_banked,
-    build_fa_lite,
-    build_l0_filter,
+    OrganizationSpec,
     build_organization,
-    build_rmm,
-    build_rmm_lite,
-    build_rmm_pp_lite,
-    build_semantic,
-    build_thp,
-    build_tlb_pred,
-    build_tlb_lite,
-    build_tlb_pp,
+    lite_defaults,
     paging_policy_for,
 )
 from .multiprocess import TimeSharingConfig, run_time_shared
@@ -55,19 +46,10 @@ __all__ = [
     "Organization",
     "CONFIG_NAMES",
     "EXTENDED_CONFIG_NAMES",
+    "CATALOGUE",
+    "OrganizationSpec",
     "build_organization",
-    "build_4kb",
-    "build_banked",
-    "build_thp",
-    "build_tlb_lite",
-    "build_rmm",
-    "build_tlb_pp",
-    "build_rmm_lite",
-    "build_fa_lite",
-    "build_l0_filter",
-    "build_tlb_pred",
-    "build_rmm_pp_lite",
-    "build_semantic",
+    "lite_defaults",
     "paging_policy_for",
     "HierarchyParams",
     "SetAssocParams",

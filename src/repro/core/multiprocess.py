@@ -33,7 +33,12 @@ from ..errors import ConfigurationError
 from ..mem.physical import PhysicalMemory
 from ..mem.process import Process
 from ..workloads.base import Workload
-from .organizations import Organization, build_organization, paging_policy_for
+from .organizations import (
+    Organization,
+    build_organization,
+    lite_defaults,
+    paging_policy_for,
+)
 from .params import HierarchyParams, LiteParams
 from .simulator import Simulator
 from .stats import SimulationResult
@@ -144,28 +149,9 @@ def run_time_shared(
 ) -> SimulationResult:
     """Simulate the time-shared system under one configuration."""
     sharing = sharing or TimeSharingConfig()
-    if lite_params is None and config_name in (
-        "TLB_Lite",
-        "RMM_Lite",
-        "FA_Lite",
-        "RMM_PP_Lite",
-    ):
-        # Scale the Lite interval to the run length (~150 intervals), as
-        # repro.analysis.experiments does for single-process runs.
-        from .params import RMM_LITE_PARAMS, TLB_LITE_PARAMS
-
-        base = (
-            TLB_LITE_PARAMS
-            if config_name in ("TLB_Lite", "FA_Lite")
-            else RMM_LITE_PARAMS
-        )
-        approx_instructions = len(workloads) * sharing.accesses_per_process * 3
-        lite_params = LiteParams(
-            interval_instructions=max(10_000, approx_instructions // 150),
-            threshold_mode=base.threshold_mode,
-            epsilon_relative=base.epsilon_relative,
-            epsilon_absolute=base.epsilon_absolute,
-            reactivate_probability=base.reactivate_probability,
+    if lite_params is None:
+        lite_params = lite_defaults(
+            config_name, len(workloads) * sharing.accesses_per_process
         )
     organization, trace, events, ipa = build_system(
         workloads, config_name, sharing, hierarchy_params, lite_params

@@ -1,4 +1,7 @@
-"""Builders for the paper's six simulated configurations (Section 5, Fig. 9).
+"""The organization catalogue: every named configuration as one table row.
+
+The paper evaluates six configurations (Section 5, Fig. 9); the
+catalogue lists them first, then the Section 4.4, 6.1 and 7 extensions.
 
 ==========  =====================================  ==========================
 Name        TLB organization                       OS paging policy
@@ -12,18 +15,21 @@ RMM_Lite    L1-4KB (Lite) ∥ 4-entry L1-range,      eager paging (4 KB layout)
             L2-4KB ∥ L2-range
 ==========  =====================================  ==========================
 
-Each builder wires the hierarchy to a populated :class:`repro.mem.Process`
-and produces the energy bindings that map every structure's per-way access
-histogram onto Table 2 parameters.
+A row (:class:`OrganizationSpec`) records what distinguishes its
+configuration: paging policy, hierarchy shape, L1-4KB variant, which
+huge-page L1 slots, range levels and L0 filter exist, the Lite base
+parameters and the summary text.  :func:`build_organization` interprets a
+row against a populated :class:`repro.mem.Process`, and one binding pass
+maps every structure's per-way access histogram onto Table 2 parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 from ..energy.cacti import (
     MMU_CACHE_PDE,
-    EnergyParams,
     fully_assoc_params,
     mixed_fa_tlb_params,
     page_tlb_params,
@@ -32,14 +38,13 @@ from ..energy.model import EnergyBinding
 from ..errors import ConfigurationError, UnknownConfigError
 from ..mem.paging import DemandPaging, EagerPaging, PagingPolicy, TransparentHugePaging
 from ..mem.process import Process
-from ..mmu.mmu_cache import MMUCache
 from ..mmu.translation import PageSize
 from ..mmu.walker import PageWalker
 from ..tlb.banked import BankedSetAssociativeTLB
 from ..tlb.fully_assoc import FullyAssociativeTLB
 from ..tlb.mixed_fa import MixedFullyAssociativeTLB
 from ..tlb.range_tlb import RangeTLB
-from ..tlb.semantic import SemanticPartitionedTLB, classify_by_vma
+from ..tlb.semantic import CLASS_NAMES, SemanticPartitionedTLB, classify_by_vma
 from ..tlb.set_assoc import SetAssociativeTLB
 from .hierarchy import (
     BaseHierarchy,
@@ -59,27 +64,155 @@ from .params import (
     LiteParams,
 )
 
-#: Canonical configuration order used throughout figures and tables.
-CONFIG_NAMES = ("4KB", "THP", "TLB_Lite", "RMM", "TLB_PP", "RMM_Lite")
 
-#: Extensions beyond the paper's six evaluated configurations:
-#: FA_Lite — the Section 4.4 SPARC/AMD-style fully-associative L1 with
-#: Lite capacity-resizing; RMM_PP_Lite — the Section 6.1 "orthogonal,
-#: combined" design (TLB_PP for pages + L1-range TLB for ranges + Lite).
-#: L0_Filter / L0_Lite — the Section 7 related-work baseline (a tiny L0
-#: TLB filtering the L1 probes), alone and combined with Lite.
-#: TLB_Pred — TLB_PP with a *realistic* (fallible, direct-mapped
-#: last-size) predictor, quantifying the cost TLB_PP's idealisation hides.
-#: Banked — the Section 7 banked-TLB baseline (probe one bank per access).
-EXTENDED_CONFIG_NAMES = CONFIG_NAMES + (
-    "FA_Lite",
-    "RMM_PP_Lite",
-    "L0_Filter",
-    "L0_Lite",
-    "TLB_Pred",
-    "Banked",
-    "Semantic",
-)
+@dataclass(frozen=True, slots=True)
+class OrganizationSpec:
+    """One catalogue row.
+
+    ``lines`` are the summary's structure lines and ``lite_text`` its Lite
+    line, as ``str.format`` templates: ``lines`` over the geometry fields
+    of :func:`_summary_fields`, ``lite_text`` over the Lite parameters.
+    """
+
+    #: ``"demand"``, ``"thp"``, ``"eager-thp"`` or ``"eager-4kb"``.
+    policy: str
+    #: ``"paged"`` (one L1 per page size), ``"mixed"`` (one L1/L2 for
+    #: 4 KB and 2 MB behind a page-size predictor) or ``"fa"`` (one
+    #: fully-associative L1 for every page size).
+    shape: str
+    page_sizes: tuple[str, ...]
+    lines: tuple[str, ...]
+    #: Paged shape: the L1-2MB and L1-1GB slots exist.
+    huge_l1: bool = True
+    #: Paged shape: split the L1-4KB into this many banks (0: unbanked).
+    banks: int = 0
+    #: Paged shape: split the L1-4KB into stack/globals/heap partitions
+    #: of these sizes (empty: unpartitioned).
+    partitions: tuple[int, ...] = ()
+    #: Range-TLB levels: ``()``, ``(2,)`` or ``(1, 2)``.
+    range_levels: tuple[int, ...] = ()
+    #: Paged shape: entries of an L0 filter probed before the L1s (0: none).
+    l0_entries: int = 0
+    #: Fa shape: entries of the fully-associative L1.
+    fa_entries: int = 0
+    #: Mixed shape: entries of a realistic size predictor (0: perfect).
+    predictor_entries: int = 0
+    #: Lite base parameters (None: no Lite controller).
+    lite: LiteParams | None = None
+    lite_text: str = ""
+    notes: str = ""
+
+
+_L1_4KB = "L1-4KB {l1_4kb}"
+_L1_2MB = "L1-2MB {l1_2mb}"
+_L2_4KB = "L2-4KB {l2_page}"
+_L1_MIXED = "L1-mixed {l1_4kb}"
+_L2_MIXED = "L2-mixed {l2_page}"
+_L1_RANGE = "L1-range {l1_range}e fully assoc"
+_L2_RANGE = "L2-range {l2_range}e fully assoc"
+_THP_LINES = (_L1_4KB, _L1_2MB, _L2_4KB)
+_L0_LINES = ("L0-filter {l0_entries}e fully assoc (all page sizes)", *_THP_LINES)
+_L0_NOTES = "TLB filtering baseline (Xue et al. / filtering line of work)"
+_ABSOLUTE_EPSILON = "absolute ε {epsilon_absolute} MPKI"
+
+#: Every named configuration, in canonical figure/table order.
+CATALOGUE: dict[str, OrganizationSpec] = {
+    # Baseline: 4 KB pages only; huge-page L1 TLBs never enable.
+    "4KB": OrganizationSpec(
+        "demand", "paged", ("4KB",), (_L1_4KB, _L2_4KB),
+        notes="huge-page L1 TLBs statically disabled",
+    ),
+    # Transparent huge pages: the state of the practice (Section 5).
+    "THP": OrganizationSpec("thp", "paged", ("4KB", "2MB"), _THP_LINES),
+    # THP + Lite on every L1-page TLB, the 1 GB one included (Section 4.2.2).
+    "TLB_Lite": OrganizationSpec(
+        "thp", "paged", ("4KB", "2MB"), _THP_LINES, lite=TLB_LITE_PARAMS,
+        lite_text="interval {interval_instructions} instr, ε {threshold_mode}",
+    ),
+    # THP + a 32-entry fully-associative L2-range TLB.
+    "RMM": OrganizationSpec(
+        "eager-thp", "paged", ("4KB", "2MB", "range"),
+        (*_THP_LINES, _L2_RANGE), range_levels=(2,), notes="perfect eager paging",
+    ),
+    # Mixed-size L1/L2 with a free perfect predictor; the L1 keeps the
+    # L1-4KB geometry and energy, so TLB_Pred's true cost is under-reported.
+    "TLB_PP": OrganizationSpec(
+        "thp", "mixed", ("4KB", "2MB"), (_L1_MIXED, _L2_MIXED),
+        notes="perfect, zero-energy page-size predictor",
+    ),
+    # 4 KB pages + ranges at both levels; the L1-range TLB replaces the
+    # huge-page L1 TLBs (Section 4.3); Lite on the L1-4KB.
+    "RMM_Lite": OrganizationSpec(
+        "eager-4kb", "paged", ("4KB", "range"),
+        (_L1_4KB, _L1_RANGE, _L2_4KB, _L2_RANGE),
+        huge_l1=False, range_levels=(1, 2),
+        lite=RMM_LITE_PARAMS, lite_text=_ABSOLUTE_EPSILON,
+        notes="perfect eager paging; L1 huge-page TLBs replaced by L1-range",
+    ),
+    # Section 4.4: one SPARC/AMD-style masked-CAM L1 for all page sizes,
+    # Lite resizing its capacity in powers of two.
+    "FA_Lite": OrganizationSpec(
+        "thp", "fa", ("4KB", "2MB"),
+        ("L1-FA {fa_entries}e fully assoc (all page sizes)", _L2_4KB),
+        fa_entries=64, lite=TLB_LITE_PARAMS,
+        lite_text="capacity resizing in powers of two (Section 4.4)",
+    ),
+    # Section 6.1's "orthogonal, combined" design: TLB_PP for pages, the
+    # L1-range TLB for ranges, Lite disabling ways opportunistically.
+    "RMM_PP_Lite": OrganizationSpec(
+        "eager-thp", "mixed", ("4KB", "2MB", "range"),
+        (_L1_MIXED + " (perfect predictor)", _L1_RANGE, _L2_MIXED, _L2_RANGE),
+        range_levels=(1, 2), lite=RMM_LITE_PARAMS, lite_text=_ABSOLUTE_EPSILON,
+        notes="combined TLB_PP + RMM_Lite (paper Section 6.1 future work)",
+    ),
+    # Section 7 related work: a tiny mixed-size L0 TLB filters the L1
+    # probes; only L0 misses pay the parallel L1 probe energy.
+    "L0_Filter": OrganizationSpec(
+        "thp", "paged", ("4KB", "2MB"), _L0_LINES, l0_entries=8, notes=_L0_NOTES
+    ),
+    # The filter with Lite resizing the L1-page TLBs behind it.
+    "L0_Lite": OrganizationSpec(
+        "thp", "paged", ("4KB", "2MB"), _L0_LINES, l0_entries=8,
+        lite=TLB_LITE_PARAMS, lite_text="on the L1-page TLBs behind the filter",
+        notes=_L0_NOTES,
+    ),
+    # TLB_PP with a realistic direct-mapped last-size predictor:
+    # mispredictions cost a second L1 probe and a retry (Section 6.1 caveat).
+    "TLB_Pred": OrganizationSpec(
+        "thp", "mixed", ("4KB", "2MB"),
+        (_L1_MIXED, _L2_MIXED, "size predictor {predictor_entries}e direct-mapped"),
+        predictor_entries=512, notes="realistic (fallible) page-size predictor",
+    ),
+    # Section 7 banked baseline: each lookup probes (and pays for) one bank.
+    "Banked": OrganizationSpec(
+        "thp", "paged", ("4KB", "2MB"),
+        (
+            "L1-4KB {l1_4kb} in {banks} banks ({bank_entries}e probed per access)",
+            _L1_2MB,
+            _L2_4KB,
+        ),
+        banks=4, notes="banked-TLB baseline (Section 7 related work)",
+    ),
+    # Section 7 semantic baseline (Lee/Ballapuram): each access probes
+    # only the partition of its region; the class needs no prediction.
+    "Semantic": OrganizationSpec(
+        "thp", "paged", ("4KB", "2MB"),
+        (
+            "L1-4KB partitioned: {partitions} "
+            "({l1_ways}-way each, one partition probed per access)",
+            _L1_2MB,
+            _L2_4KB,
+        ),
+        partitions=(16, 16, 32),
+        notes="semantic-region partitioning baseline (Section 7 related work)",
+    ),
+}
+
+#: Every configuration, in canonical order.
+EXTENDED_CONFIG_NAMES = tuple(CATALOGUE)
+
+#: The paper's six evaluated configurations (the catalogue lists them first).
+CONFIG_NAMES = EXTENDED_CONFIG_NAMES[:6]
 
 
 @dataclass(slots=True)
@@ -93,578 +226,51 @@ class Organization:
     summary: ConfigurationSummary
 
 
-# ----------------------------------------------------------------------
-# Energy-binding helpers
-# ----------------------------------------------------------------------
-def _sa_binding(tlb: SetAssociativeTLB, component: str) -> EnergyBinding:
-    """Set-associative TLB: way-disabling keeps sets constant (Table 2)."""
-    sets = tlb.num_sets
-    return EnergyBinding(
-        tlb.name, component, tlb.stats, lambda ways: page_tlb_params(sets * ways, ways)
-    )
+def _spec(config_name: str) -> OrganizationSpec:
+    spec = CATALOGUE.get(config_name)
+    if spec is None:
+        raise UnknownConfigError(config_name, EXTENDED_CONFIG_NAMES)
+    return spec
 
 
-def _fa_binding(tlb: FullyAssociativeTLB, component: str) -> EnergyBinding:
-    return EnergyBinding(
-        tlb.name, component, tlb.stats, lambda units: fully_assoc_params(units)
-    )
-
-
-def _range_binding(tlb: RangeTLB, component: str) -> EnergyBinding:
-    return EnergyBinding(
-        tlb.name,
-        component,
-        tlb.stats,
-        lambda units: fully_assoc_params(units, range_tags=True),
-    )
-
-
-def _constant_binding(structure, component: str, params: EnergyParams) -> EnergyBinding:
-    return EnergyBinding(structure.name, component, structure.stats, lambda _units: params)
-
-
-def _mmu_cache_bindings(mmu_cache: MMUCache) -> list[EnergyBinding]:
-    return [
-        _constant_binding(mmu_cache.pde, "mmu_cache", MMU_CACHE_PDE),
-        _fa_binding(mmu_cache.pdpte, "mmu_cache"),
-        _fa_binding(mmu_cache.pml4, "mmu_cache"),
-    ]
-
-
-# ----------------------------------------------------------------------
-# Structure factories
-# ----------------------------------------------------------------------
-def _paged_l1_slots(params: HierarchyParams) -> list[L1Slot]:
-    """The Figure 1 baseline: separate L1 TLBs for 4 KB / 2 MB / 1 GB."""
-    return [
-        L1Slot(
-            SetAssociativeTLB("L1-4KB", params.l1_4kb.entries, params.l1_4kb.ways),
-            PageSize.SIZE_4KB,
-        ),
-        L1Slot(
-            SetAssociativeTLB("L1-2MB", params.l1_2mb.entries, params.l1_2mb.ways),
-            PageSize.SIZE_2MB,
-        ),
-        L1Slot(
-            FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries),
-            PageSize.SIZE_1GB,
-        ),
-    ]
-
-
-def _l2_page_tlb(params: HierarchyParams) -> SetAssociativeTLB:
-    return SetAssociativeTLB("L2-4KB", params.l2_page.entries, params.l2_page.ways)
-
-
-def _paged_bindings(hierarchy: TLBHierarchy) -> list[EnergyBinding]:
-    bindings: list[EnergyBinding] = []
-    for slot in hierarchy.l1_slots:
-        if isinstance(slot.tlb, SetAssociativeTLB):
-            bindings.append(_sa_binding(slot.tlb, "l1_page_tlbs"))
-        else:
-            bindings.append(_fa_binding(slot.tlb, "l1_page_tlbs"))
-    bindings.append(_sa_binding(hierarchy.l2_page, "l2_page_tlb"))
-    if hierarchy.l1_range is not None:
-        bindings.append(_range_binding(hierarchy.l1_range, "l1_range_tlb"))
-    if hierarchy.l2_range is not None:
-        bindings.append(_range_binding(hierarchy.l2_range, "l2_range_tlb"))
-    bindings.extend(_mmu_cache_bindings(hierarchy.walker.mmu_cache))
-    return bindings
-
-
-# ----------------------------------------------------------------------
-# Configuration builders
-# ----------------------------------------------------------------------
-def build_4kb(process: Process, params: HierarchyParams | None = None) -> Organization:
-    """Baseline: 4 KB pages only; huge-page L1 TLBs never enable."""
-    params = params or HierarchyParams()
-    hierarchy = TLBHierarchy(
-        _paged_l1_slots(params), _l2_page_tlb(params), PageWalker(process.page_table)
-    )
-    summary = ConfigurationSummary(
-        "4KB",
-        ("4KB",),
-        (
-            f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-        notes="huge-page L1 TLBs statically disabled",
-    )
-    return Organization("4KB", hierarchy, _paged_bindings(hierarchy), None, summary)
-
-
-def build_thp(process: Process, params: HierarchyParams | None = None) -> Organization:
-    """Transparent huge pages: the state of the practice (Section 5)."""
-    params = params or HierarchyParams()
-    hierarchy = TLBHierarchy(
-        _paged_l1_slots(params), _l2_page_tlb(params), PageWalker(process.page_table)
-    )
-    summary = ConfigurationSummary(
-        "THP",
-        ("4KB", "2MB"),
-        (
-            f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L1-2MB {params.l1_2mb.entries}e/{params.l1_2mb.ways}w",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-    )
-    return Organization("THP", hierarchy, _paged_bindings(hierarchy), None, summary)
-
-
-def _lite_controller(
-    hierarchy: TLBHierarchy, lite_params: LiteParams, record_history: bool
-) -> LiteController:
-    """Attach Lite to every resizable L1-page TLB.
-
-    The paper resizes "all L1-page TLBs (4KB, 2MB, and 1GB)"; the 4-entry
-    fully-associative L1-1GB TLB is resized by capacity in powers of two
-    (Section 4.4 semantics).  For workloads that never touch 1 GB pages
-    the structure is statically disabled anyway, so monitoring it is
-    free.
-    """
-    monitored = [slot.tlb for slot in hierarchy.l1_slots]
-    return LiteController(monitored, lite_params, record_history=record_history)
-
-
-def build_tlb_lite(
-    process: Process,
-    params: HierarchyParams | None = None,
-    lite_params: LiteParams = TLB_LITE_PARAMS,
-    record_history: bool = False,
-) -> Organization:
-    """TLB_Lite: THP hierarchy + the Lite way-disabling mechanism."""
-    organization = build_thp(process, params)
-    lite = _lite_controller(organization.hierarchy, lite_params, record_history)
-    summary = ConfigurationSummary(
-        "TLB_Lite",
-        organization.summary.page_sizes,
-        organization.summary.structures,
-        lite=(
-            f"interval {lite_params.interval_instructions} instr, "
-            f"ε {lite_params.threshold_mode}"
-        ),
-    )
-    return Organization(
-        "TLB_Lite", organization.hierarchy, organization.bindings, lite, summary
-    )
-
-
-def build_rmm(process: Process, params: HierarchyParams | None = None) -> Organization:
-    """RMM: THP hierarchy + 32-entry fully-associative L2-range TLB."""
-    params = params or HierarchyParams()
-    if len(process.range_table) == 0:
-        raise ConfigurationError("RMM needs an eager-paged process (empty range table)")
-    hierarchy = TLBHierarchy(
-        _paged_l1_slots(params),
-        _l2_page_tlb(params),
-        PageWalker(process.page_table),
-        l2_range=RangeTLB("L2-range", params.l2_range_entries),
-        range_table=process.range_table,
-    )
-    summary = ConfigurationSummary(
-        "RMM",
-        ("4KB", "2MB", "range"),
-        (
-            f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L1-2MB {params.l1_2mb.entries}e/{params.l1_2mb.ways}w",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-            f"L2-range {params.l2_range_entries}e fully assoc",
-        ),
-        notes="perfect eager paging",
-    )
-    return Organization("RMM", hierarchy, _paged_bindings(hierarchy), None, summary)
-
-
-def build_tlb_pp(process: Process, params: HierarchyParams | None = None) -> Organization:
-    """TLB_PP: perfect TLB_Pred — mixed-size L1/L2, free perfect predictor.
-
-    The mixed L1 keeps the L1-4KB geometry (64 entries, 4-way) and is
-    charged L1-4KB energy per lookup; the perfect predictor itself costs
-    nothing.  As the paper notes, this under-reports TLB_Pred's true cost
-    by design ("unrealizable in practice").
-    """
-    params = params or HierarchyParams()
-    huge_chunks = set()
-    for translation in process.page_table.iter_translations():
-        if translation.page_size is PageSize.SIZE_1GB:
-            raise ConfigurationError("TLB_PP models 4KB and 2MB pages only")
-        if translation.page_size is PageSize.SIZE_2MB:
-            huge_chunks.add(translation.vpn >> 9)
-    l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
-    l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
-    hierarchy = MixedTLBHierarchy(
-        l1_mixed, l2_mixed, PageWalker(process.page_table), frozenset(huge_chunks)
-    )
-    bindings = [
-        _sa_binding(l1_mixed, "l1_page_tlbs"),
-        _sa_binding(l2_mixed, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
-    summary = ConfigurationSummary(
-        "TLB_PP",
-        ("4KB", "2MB"),
-        (
-            f"L1-mixed {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L2-mixed {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-        notes="perfect, zero-energy page-size predictor",
-    )
-    return Organization("TLB_PP", hierarchy, bindings, None, summary)
-
-
-def build_rmm_lite(
-    process: Process,
-    params: HierarchyParams | None = None,
-    lite_params: LiteParams = RMM_LITE_PARAMS,
-    record_history: bool = False,
-) -> Organization:
-    """RMM_Lite: 4 KB pages + ranges at both levels, Lite on the L1-4KB.
-
-    The huge-page L1 TLBs are replaced by the L1-range TLB (Section 4.3),
-    so the process must be eager-paged with a 4 KB redundant layout.
-    """
-    params = params or HierarchyParams()
-    if len(process.range_table) == 0:
-        raise ConfigurationError("RMM_Lite needs an eager-paged process (empty range table)")
-    l1_4kb = SetAssociativeTLB("L1-4KB", params.l1_4kb.entries, params.l1_4kb.ways)
-    hierarchy = TLBHierarchy(
-        [L1Slot(l1_4kb, PageSize.SIZE_4KB)],
-        _l2_page_tlb(params),
-        PageWalker(process.page_table),
-        l1_range=RangeTLB("L1-range", params.l1_range_entries),
-        l2_range=RangeTLB("L2-range", params.l2_range_entries),
-        range_table=process.range_table,
-    )
-    lite = LiteController([l1_4kb], lite_params, record_history=record_history)
-    summary = ConfigurationSummary(
-        "RMM_Lite",
-        ("4KB", "range"),
-        (
-            f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L1-range {params.l1_range_entries}e fully assoc",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-            f"L2-range {params.l2_range_entries}e fully assoc",
-        ),
-        lite=f"absolute ε {lite_params.epsilon_absolute} MPKI",
-        notes="perfect eager paging; L1 huge-page TLBs replaced by L1-range",
-    )
-    return Organization(
-        "RMM_Lite", hierarchy, _paged_bindings(hierarchy), lite, summary
-    )
-
-
-def build_fa_lite(
-    process: Process,
-    params: HierarchyParams | None = None,
-    lite_params: LiteParams = TLB_LITE_PARAMS,
-    fa_entries: int = 64,
-    record_history: bool = False,
-) -> Organization:
-    """FA_Lite: single fully-associative mixed L1 TLB + Lite (Section 4.4).
-
-    The SPARC/AMD-style organization: one masked-CAM L1 holds 4 KB and
-    2 MB translations together, so each access probes a single structure;
-    Lite resizes its capacity in powers of two.
-    """
-    params = params or HierarchyParams()
-    l1_fa = MixedFullyAssociativeTLB("L1-FA", fa_entries)
-    hierarchy = FullyAssociativeL1Hierarchy(
-        l1_fa, _l2_page_tlb(params), PageWalker(process.page_table)
-    )
-    bindings = [
-        EnergyBinding(
-            l1_fa.name, "l1_page_tlbs", l1_fa.stats, lambda units: mixed_fa_tlb_params(units)
-        ),
-        _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
-    lite = LiteController([l1_fa], lite_params, record_history=record_history)
-    summary = ConfigurationSummary(
-        "FA_Lite",
-        ("4KB", "2MB"),
-        (
-            f"L1-FA {fa_entries}e fully assoc (all page sizes)",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-        lite="capacity resizing in powers of two (Section 4.4)",
-    )
-    return Organization("FA_Lite", hierarchy, bindings, lite, summary)
-
-
-def build_rmm_pp_lite(
-    process: Process,
-    params: HierarchyParams | None = None,
-    lite_params: LiteParams = RMM_LITE_PARAMS,
-    record_history: bool = False,
-) -> Organization:
-    """RMM_PP_Lite: the combined design the paper proposes (Section 6.1).
-
-    "RMM_Lite and TLB_PP are orthogonal; a combined approach could use
-    the L1-range TLB for range translations, the TLB_PP for pages, and
-    the Lite mechanism to disable ways opportunistically."
-    """
-    params = params or HierarchyParams()
-    if len(process.range_table) == 0:
-        raise ConfigurationError("RMM_PP_Lite needs an eager-paged process")
-    huge_chunks = set()
-    for translation in process.page_table.iter_translations():
-        if translation.page_size is PageSize.SIZE_2MB:
-            huge_chunks.add(translation.vpn >> 9)
-    l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
-    l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
-    hierarchy = MixedTLBHierarchy(
-        l1_mixed,
-        l2_mixed,
-        PageWalker(process.page_table),
-        frozenset(huge_chunks),
-        l1_range=RangeTLB("L1-range", params.l1_range_entries),
-        l2_range=RangeTLB("L2-range", params.l2_range_entries),
-        range_table=process.range_table,
-    )
-    lite = LiteController([l1_mixed], lite_params, record_history=record_history)
-    bindings = [
-        _sa_binding(l1_mixed, "l1_page_tlbs"),
-        _sa_binding(l2_mixed, "l2_page_tlb"),
-        _range_binding(hierarchy.l1_range, "l1_range_tlb"),
-        _range_binding(hierarchy.l2_range, "l2_range_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
-    summary = ConfigurationSummary(
-        "RMM_PP_Lite",
-        ("4KB", "2MB", "range"),
-        (
-            f"L1-mixed {params.l1_4kb.entries}e/{params.l1_4kb.ways}w (perfect predictor)",
-            f"L1-range {params.l1_range_entries}e fully assoc",
-            f"L2-mixed {params.l2_page.entries}e/{params.l2_page.ways}w",
-            f"L2-range {params.l2_range_entries}e fully assoc",
-        ),
-        lite=f"absolute ε {lite_params.epsilon_absolute} MPKI",
-        notes="combined TLB_PP + RMM_Lite (paper Section 6.1 future work)",
-    )
-    return Organization("RMM_PP_Lite", hierarchy, bindings, lite, summary)
-
-
-def build_l0_filter(
-    process: Process,
-    params: HierarchyParams | None = None,
-    lite_params: LiteParams | None = None,
-    l0_entries: int = 8,
-    record_history: bool = False,
-) -> Organization:
-    """L0_Filter / L0_Lite: TLB filtering (paper Section 7 related work).
-
-    A small fully-associative mixed-size L0 TLB is probed before the L1
-    TLBs; only L0 misses pay the parallel L1 probe energy.  With
-    ``lite_params`` the Lite mechanism additionally resizes the L1-page
-    TLBs behind the filter — the combination the paper argues is possible
-    because the approaches are orthogonal.
-    """
-    params = params or HierarchyParams()
-    l0 = MixedFullyAssociativeTLB("L0-filter", l0_entries)
-    hierarchy = L0FilterHierarchy(
-        _paged_l1_slots(params),
-        _l2_page_tlb(params),
-        PageWalker(process.page_table),
-        l0=l0,
-    )
-    bindings = _paged_bindings(hierarchy)
-    bindings.insert(
-        0,
-        EnergyBinding(
-            l0.name, "l1_page_tlbs", l0.stats, lambda units: mixed_fa_tlb_params(units)
-        ),
-    )
-    lite = None
-    name = "L0_Filter"
-    if lite_params is not None:
-        lite = _lite_controller(hierarchy, lite_params, record_history)
-        name = "L0_Lite"
-    summary = ConfigurationSummary(
-        name,
-        ("4KB", "2MB"),
-        (
-            f"L0-filter {l0_entries}e fully assoc (all page sizes)",
-            f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L1-2MB {params.l1_2mb.entries}e/{params.l1_2mb.ways}w",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-        lite=None if lite is None else "on the L1-page TLBs behind the filter",
-        notes="TLB filtering baseline (Xue et al. / filtering line of work)",
-    )
-    return Organization(name, hierarchy, bindings, lite, summary)
-
-
-def build_tlb_pred(
-    process: Process,
-    params: HierarchyParams | None = None,
-    predictor_entries: int = 512,
-) -> Organization:
-    """TLB_Pred with a realistic predictor (paper Section 6.1 caveat).
-
-    Same mixed L1/L2 geometry as TLB_PP, but the page-size predictor is a
-    direct-mapped last-size table: mispredictions cost a second L1 probe
-    (energy) and a retry (timing, counted as an L1 miss).
-    """
-    params = params or HierarchyParams()
-    huge_chunks = set()
-    for translation in process.page_table.iter_translations():
-        if translation.page_size is PageSize.SIZE_1GB:
-            raise ConfigurationError("TLB_Pred models 4KB and 2MB pages only")
-        if translation.page_size is PageSize.SIZE_2MB:
-            huge_chunks.add(translation.vpn >> 9)
-    l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
-    l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
-    hierarchy = PredictedMixedHierarchy(
-        l1_mixed,
-        l2_mixed,
-        PageWalker(process.page_table),
-        frozenset(huge_chunks),
-        predictor_entries=predictor_entries,
-    )
-    bindings = [
-        _sa_binding(l1_mixed, "l1_page_tlbs"),
-        _sa_binding(l2_mixed, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
-    summary = ConfigurationSummary(
-        "TLB_Pred",
-        ("4KB", "2MB"),
-        (
-            f"L1-mixed {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
-            f"L2-mixed {params.l2_page.entries}e/{params.l2_page.ways}w",
-            f"size predictor {predictor_entries}e direct-mapped",
-        ),
-        notes="realistic (fallible) page-size predictor",
-    )
-    return Organization("TLB_Pred", hierarchy, bindings, None, summary)
-
-
-def build_banked(
-    process: Process,
-    params: HierarchyParams | None = None,
-    banks: int = 4,
-) -> Organization:
-    """Banked baseline (paper Section 7): probe one L1-4KB bank per access.
-
-    The L1-4KB TLB is split into ``banks`` independently probed banks;
-    each lookup pays the read energy of the bank-sized structure (a
-    quarter of the TLB for 4 banks) at the cost of bank-conflict
-    pressure.  The other structures match the THP configuration.
-    """
-    params = params or HierarchyParams()
-    banked = BankedSetAssociativeTLB(
-        "L1-4KB", params.l1_4kb.entries, params.l1_4kb.ways, banks
-    )
-    slots = [
-        L1Slot(banked, PageSize.SIZE_4KB),
-        L1Slot(
-            SetAssociativeTLB("L1-2MB", params.l1_2mb.entries, params.l1_2mb.ways),
-            PageSize.SIZE_2MB,
-        ),
-        L1Slot(FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries), PageSize.SIZE_1GB),
-    ]
-    hierarchy = TLBHierarchy(slots, _l2_page_tlb(params), PageWalker(process.page_table))
-    bank_sets = banked.bank_entries // params.l1_4kb.ways
-    bindings = [
-        EnergyBinding(
-            banked.name,
-            "l1_page_tlbs",
-            banked.stats,
-            lambda ways: page_tlb_params(bank_sets * ways, ways),
-        ),
-        _sa_binding(slots[1].tlb, "l1_page_tlbs"),
-        _fa_binding(slots[2].tlb, "l1_page_tlbs"),
-        _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
-    summary = ConfigurationSummary(
-        "Banked",
-        ("4KB", "2MB"),
-        (
-            f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w in {banks} banks "
-            f"({banked.bank_entries}e probed per access)",
-            f"L1-2MB {params.l1_2mb.entries}e/{params.l1_2mb.ways}w",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-        notes="banked-TLB baseline (Section 7 related work)",
-    )
-    return Organization("Banked", hierarchy, bindings, None, summary)
-
-
-def build_semantic(
-    process: Process,
-    params: HierarchyParams | None = None,
-) -> Organization:
-    """Semantic baseline (paper Section 7): partitioned L1-4KB TLB.
-
-    Lee/Ballapuram-style: the 64-entry L1-4KB TLB splits into a 16-entry
-    stack partition, a 16-entry globals partition, and a 32-entry heap
-    partition; each access probes only its semantic partition (the class
-    is known from the region, no prediction needed).  Other structures
-    match THP.
-    """
-    params = params or HierarchyParams()
-    partitions = [
-        SetAssociativeTLB("L1-4KB-stack", 16, params.l1_4kb.ways),
-        SetAssociativeTLB("L1-4KB-globals", 16, params.l1_4kb.ways),
-        SetAssociativeTLB("L1-4KB-heap", 32, params.l1_4kb.ways),
-    ]
-    partitioned = SemanticPartitionedTLB(
-        "L1-4KB", partitions, classify_by_vma(process.address_space)
-    )
-    slots = [
-        L1Slot(partitioned, PageSize.SIZE_4KB),
-        L1Slot(
-            SetAssociativeTLB("L1-2MB", params.l1_2mb.entries, params.l1_2mb.ways),
-            PageSize.SIZE_2MB,
-        ),
-        L1Slot(FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries), PageSize.SIZE_1GB),
-    ]
-    hierarchy = TLBHierarchy(slots, _l2_page_tlb(params), PageWalker(process.page_table))
-    bindings = [
-        _sa_binding(partition, "l1_page_tlbs") for partition in partitions
-    ] + [
-        _sa_binding(slots[1].tlb, "l1_page_tlbs"),
-        _fa_binding(slots[2].tlb, "l1_page_tlbs"),
-        _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
-    summary = ConfigurationSummary(
-        "Semantic",
-        ("4KB", "2MB"),
-        (
-            "L1-4KB partitioned: stack 16e + globals 16e + heap 32e "
-            f"({params.l1_4kb.ways}-way each, one partition probed per access)",
-            f"L1-2MB {params.l1_2mb.entries}e/{params.l1_2mb.ways}w",
-            f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
-        ),
-        notes="semantic-region partitioning baseline (Section 7 related work)",
-    )
-    return Organization("Semantic", hierarchy, bindings, None, summary)
-
-
-# ----------------------------------------------------------------------
-# Dispatch table: builder + the OS paging policy each configuration assumes
-# ----------------------------------------------------------------------
 def paging_policy_for(config_name: str, thp_coverage: float = 1.0) -> PagingPolicy:
     """The OS allocation policy a configuration assumes (Section 5)."""
-    if config_name == "4KB":
+    policy = _spec(config_name).policy
+    if policy == "demand":
         return DemandPaging()
-    if config_name in ("THP", "TLB_Lite", "TLB_PP"):
+    if policy == "thp":
         return TransparentHugePaging(coverage=thp_coverage)
-    if config_name == "RMM":
-        return EagerPaging(page_layout="thp")
-    if config_name == "RMM_Lite":
-        return EagerPaging(page_layout="4kb")
-    if config_name == "FA_Lite":
-        return TransparentHugePaging(coverage=thp_coverage)
-    if config_name == "RMM_PP_Lite":
-        return EagerPaging(page_layout="thp")
-    if config_name in ("L0_Filter", "L0_Lite", "TLB_Pred", "Banked", "Semantic"):
-        return TransparentHugePaging(coverage=thp_coverage)
-    raise UnknownConfigError(config_name, EXTENDED_CONFIG_NAMES)
+    return EagerPaging(page_layout=policy.removeprefix("eager-"))
 
 
+def scaled_lite_interval(trace_accesses: int) -> int:
+    """Lite interval matched to a scaled-down trace of ``trace_accesses``.
+
+    The paper pairs a 1 M-instruction interval with 50 G simulated
+    instructions (50 000 intervals).  At bench-scale traces we keep
+    ~150 intervals: enough decisions per phase for Lite to adapt,
+    while keeping each interval long enough that the fixed cost of a
+    reconfiguration (refilling invalidated ways) stays small relative
+    to the interval, as it is at the paper's scale.
+    """
+    approx_instructions = trace_accesses * 3
+    return max(10_000, approx_instructions // 150)
+
+
+def lite_defaults(config_name: str, trace_accesses: int) -> LiteParams | None:
+    """The row's Lite parameters with the interval scaled to the run.
+
+    ``None`` for configurations without a Lite controller.
+    """
+    base = _spec(config_name).lite
+    if base is None:
+        return None
+    return replace(base, interval_instructions=scaled_lite_interval(trace_accesses))
+
+
+# ----------------------------------------------------------------------
+# Interpreting a row
+# ----------------------------------------------------------------------
 def build_organization(
     config_name: str,
     process: Process,
@@ -672,41 +278,169 @@ def build_organization(
     lite_params: LiteParams | None = None,
     record_history: bool = False,
 ) -> Organization:
-    """Build any named configuration against a populated process."""
-    if config_name == "4KB":
-        return build_4kb(process, params)
-    if config_name == "THP":
-        return build_thp(process, params)
-    if config_name == "TLB_Lite":
-        return build_tlb_lite(
-            process, params, lite_params or TLB_LITE_PARAMS, record_history
+    """Build any named configuration against a populated process.
+
+    ``lite_params`` overrides the row's paper-scale Lite parameters; rows
+    without Lite ignore it.
+    """
+    spec = _spec(config_name)
+    params = params or HierarchyParams()
+    walker = PageWalker(process.page_table)
+    range_tlbs = {}
+    if spec.range_levels:
+        if len(process.range_table) == 0:
+            raise ConfigurationError(
+                f"{config_name} needs an eager-paged process (empty range table)"
+            )
+        entries = {1: params.l1_range_entries, 2: params.l2_range_entries}
+        range_tlbs = {
+            f"l{level}_range": RangeTLB(f"L{level}-range", entries[level])
+            for level in spec.range_levels
+        }
+    ranges = dict(range_tlbs, range_table=process.range_table) if range_tlbs else {}
+
+    front = []
+    if spec.shape == "fa":
+        l1 = [MixedFullyAssociativeTLB("L1-FA", spec.fa_entries)]
+        l2 = _page_tlb("L2-4KB", params.l2_page)
+        hierarchy = FullyAssociativeL1Hierarchy(l1[0], l2, walker)
+    elif spec.shape == "mixed":
+        l1 = [_page_tlb("L1-mixed", params.l1_4kb)]
+        l2 = _page_tlb("L2-mixed", params.l2_page)
+        args = (l1[0], l2, walker, _huge_chunks(config_name, process))
+        if spec.predictor_entries:
+            hierarchy = PredictedMixedHierarchy(
+                *args, predictor_entries=spec.predictor_entries, **ranges
+            )
+        else:
+            hierarchy = MixedTLBHierarchy(*args, **ranges)
+    else:
+        slots = _paged_l1_slots(spec, params, process)
+        l1 = [slot.tlb for slot in slots]
+        l2 = _page_tlb("L2-4KB", params.l2_page)
+        if spec.l0_entries:
+            front = [MixedFullyAssociativeTLB("L0-filter", spec.l0_entries)]
+            hierarchy = L0FilterHierarchy(slots, l2, walker, l0=front[0], **ranges)
+        else:
+            hierarchy = TLBHierarchy(slots, l2, walker, **ranges)
+
+    components = [(tlb, "l1_page_tlbs") for tlb in front + l1]
+    components.append((l2, "l2_page_tlb"))
+    components.extend((tlb, f"{key}_tlb") for key, tlb in range_tlbs.items())
+    bindings = [
+        binding for tlb, component in components for binding in _bind(tlb, component)
+    ]
+    mmu_cache = walker.mmu_cache
+    bindings += [
+        EnergyBinding(mmu_cache.pde.name, "mmu_cache", mmu_cache.pde.stats,
+                      lambda _units: MMU_CACHE_PDE),
+        *_bind(mmu_cache.pdpte, "mmu_cache"),
+        *_bind(mmu_cache.pml4, "mmu_cache"),
+    ]
+
+    lite = None
+    if spec.lite is not None:
+        lite = LiteController(l1, lite_params or spec.lite, record_history=record_history)
+    summary = ConfigurationSummary(
+        config_name,
+        spec.page_sizes,
+        tuple(line.format(**_summary_fields(spec, params)) for line in spec.lines),
+        lite=None if lite is None else spec.lite_text.format(**asdict(lite.params)),
+        notes=spec.notes,
+    )
+    return Organization(config_name, hierarchy, bindings, lite, summary)
+
+
+def _page_tlb(name: str, geometry) -> SetAssociativeTLB:
+    return SetAssociativeTLB(name, geometry.entries, geometry.ways)
+
+
+def _paged_l1_slots(
+    spec: OrganizationSpec, params: HierarchyParams, process: Process
+) -> list[L1Slot]:
+    """The Figure 1 L1s: the row's L1-4KB variant, then L1-2MB and L1-1GB."""
+    geometry = params.l1_4kb
+    if spec.banks:
+        l1_4kb = BankedSetAssociativeTLB(
+            "L1-4KB", geometry.entries, geometry.ways, spec.banks
         )
-    if config_name == "RMM":
-        return build_rmm(process, params)
-    if config_name == "TLB_PP":
-        return build_tlb_pp(process, params)
-    if config_name == "RMM_Lite":
-        return build_rmm_lite(
-            process, params, lite_params or RMM_LITE_PARAMS, record_history
+    elif spec.partitions:
+        partitions = [
+            SetAssociativeTLB(f"L1-4KB-{name}", entries, geometry.ways)
+            for name, entries in zip(CLASS_NAMES, spec.partitions)
+        ]
+        l1_4kb = SemanticPartitionedTLB(
+            "L1-4KB", partitions, classify_by_vma(process.address_space)
         )
-    if config_name == "FA_Lite":
-        return build_fa_lite(
-            process, params, lite_params or TLB_LITE_PARAMS, record_history=record_history
+    else:
+        l1_4kb = _page_tlb("L1-4KB", geometry)
+    slots = [L1Slot(l1_4kb, PageSize.SIZE_4KB)]
+    if spec.huge_l1:
+        slots.append(L1Slot(_page_tlb("L1-2MB", params.l1_2mb), PageSize.SIZE_2MB))
+        slots.append(
+            L1Slot(FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries), PageSize.SIZE_1GB)
         )
-    if config_name == "RMM_PP_Lite":
-        return build_rmm_pp_lite(
-            process, params, lite_params or RMM_LITE_PARAMS, record_history
-        )
-    if config_name == "L0_Filter":
-        return build_l0_filter(process, params, None, record_history=record_history)
-    if config_name == "L0_Lite":
-        return build_l0_filter(
-            process, params, lite_params or TLB_LITE_PARAMS, record_history=record_history
-        )
-    if config_name == "TLB_Pred":
-        return build_tlb_pred(process, params)
-    if config_name == "Banked":
-        return build_banked(process, params)
-    if config_name == "Semantic":
-        return build_semantic(process, params)
-    raise UnknownConfigError(config_name, EXTENDED_CONFIG_NAMES)
+    return slots
+
+
+def _huge_chunks(config_name: str, process: Process) -> frozenset[int]:
+    """The 2 MB chunks a mixed hierarchy's size predictor sees as huge."""
+    chunks = set()
+    for translation in process.page_table.iter_translations():
+        if translation.page_size is PageSize.SIZE_1GB:
+            raise ConfigurationError(f"{config_name} models 4KB and 2MB pages only")
+        if translation.page_size is PageSize.SIZE_2MB:
+            chunks.add(translation.vpn >> 9)
+    return frozenset(chunks)
+
+
+def _bind(structure, component: str) -> list[EnergyBinding]:
+    """Energy bindings of one structure (a partitioned TLB binds each part).
+
+    Set-associative TLBs keep their set count as Lite disables ways
+    (Table 2); a banked TLB is charged one bank's read; fully-associative
+    structures scale by active entries.
+    """
+    if isinstance(structure, SemanticPartitionedTLB):
+        return [
+            binding
+            for partition in structure.partitions
+            for binding in _bind(partition, component)
+        ]
+    if isinstance(structure, BankedSetAssociativeTLB):
+        params_for = partial(_way_params, structure.bank_entries // structure.ways)
+    elif isinstance(structure, SetAssociativeTLB):
+        params_for = partial(_way_params, structure.num_sets)
+    elif isinstance(structure, MixedFullyAssociativeTLB):
+        params_for = mixed_fa_tlb_params
+    elif isinstance(structure, RangeTLB):
+        params_for = partial(fully_assoc_params, range_tags=True)
+    else:
+        params_for = fully_assoc_params
+    return [EnergyBinding(structure.name, component, structure.stats, params_for)]
+
+
+def _way_params(sets: int, ways: int):
+    """Table 2 energy of a set-associative TLB with ``ways`` ways enabled."""
+    return page_tlb_params(sets * ways, ways)
+
+
+def _summary_fields(spec: OrganizationSpec, params: HierarchyParams) -> dict:
+    """The geometry a row's summary ``lines`` may name."""
+    l1, l1_2mb, l2 = params.l1_4kb, params.l1_2mb, params.l2_page
+    return {
+        "l1_4kb": f"{l1.entries}e/{l1.ways}w",
+        "l1_2mb": f"{l1_2mb.entries}e/{l1_2mb.ways}w",
+        "l2_page": f"{l2.entries}e/{l2.ways}w",
+        "l1_ways": l1.ways,
+        "l1_range": params.l1_range_entries,
+        "l2_range": params.l2_range_entries,
+        "l0_entries": spec.l0_entries,
+        "fa_entries": spec.fa_entries,
+        "predictor_entries": spec.predictor_entries,
+        "banks": spec.banks,
+        "bank_entries": l1.entries // max(spec.banks, 1),
+        "partitions": " + ".join(
+            f"{name} {entries}e" for name, entries in zip(CLASS_NAMES, spec.partitions)
+        ),
+    }

@@ -61,10 +61,13 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from ..core.organizations import build_organization, paging_policy_for
+from ..core.organizations import (
+    EXTENDED_CONFIG_NAMES,
+    build_organization,
+    lite_defaults,
+    paging_policy_for,
+)
 from ..core.params import (
-    RMM_LITE_PARAMS,
-    TLB_LITE_PARAMS,
     HierarchyParams,
     LiteParams,
     SetAssocParams,
@@ -106,28 +109,6 @@ CORPUS_VERSION = 1
 #: own: every oracle's runs are wrapped, and any non-taxonomy exception
 #: escaping one of them is attributed to it.
 ORACLE_NAMES = ("engines", "resume", "auditor", "observability", "taxonomy")
-
-#: Configurations the generator samples (every registered organization).
-FUZZ_CONFIG_NAMES = (
-    "4KB",
-    "THP",
-    "TLB_Lite",
-    "RMM",
-    "TLB_PP",
-    "RMM_Lite",
-    "FA_Lite",
-    "RMM_PP_Lite",
-    "L0_Filter",
-    "L0_Lite",
-    "TLB_Pred",
-    "Banked",
-    "Semantic",
-)
-
-#: Configurations whose builder attaches a Lite controller.
-_LITE_CONFIGS = frozenset(
-    {"TLB_Lite", "RMM_Lite", "FA_Lite", "RMM_PP_Lite", "L0_Lite"}
-)
 
 
 # ----------------------------------------------------------------------
@@ -800,9 +781,9 @@ def _sample_hierarchy(rng: np.random.Generator) -> dict:
 
 
 def _sample_lite(rng: np.random.Generator, config: str, accesses: int, ipa: float) -> dict | None:
-    if config not in _LITE_CONFIGS:
+    base = lite_defaults(config, accesses)
+    if base is None:
         return None
-    base = RMM_LITE_PARAMS if config in ("RMM_Lite", "RMM_PP_Lite") else TLB_LITE_PARAMS
     intervals = int(_choice(rng, (4, 8, 12, 20)))
     interval_instructions = max(30, round(accesses * ipa / intervals))
     threshold_mode = _choice(rng, (base.threshold_mode, "relative", "absolute"))
@@ -852,7 +833,7 @@ def generate_case(seed: int, index: int) -> FuzzCase:
         if oracle_rng.random() < 0.5
         else tuple(name for name in ORACLE_NAMES if name != "observability")
     )
-    config = _choice(rng, FUZZ_CONFIG_NAMES)
+    config = _choice(rng, EXTENDED_CONFIG_NAMES)
     workload = _sample_workload(rng)
     accesses = int(_choice(rng, _TRACE_ACCESSES))
     trace, on_fault = _sample_trace(rng, accesses)

@@ -9,7 +9,7 @@ resizing of the fully-associative structure.
 
 import pytest
 
-from repro.core.organizations import build_thp, build_tlb_lite
+from repro.core.organizations import build_organization
 from repro.core.params import LiteParams
 from repro.core.simulator import Simulator
 from repro.mem.paging import HugeTLBFSPaging
@@ -66,7 +66,7 @@ class TestHugeTLBFSPolicy:
 class TestHierarchy1GBPath:
     def test_walk_costs_two_refs_cold_one_warm(self):
         process = giant_process(1)
-        org = build_thp(process)
+        org = build_organization("THP", process)
         base = next(iter(process.address_space)).start_vpn
         walker = org.hierarchy.walker
         result = walker.walk(base)
@@ -75,7 +75,7 @@ class TestHierarchy1GBPath:
 
     def test_l1_1gb_slot_enables_and_hits(self):
         process = giant_process(1)
-        org = build_thp(process)
+        org = build_organization("THP", process)
         h = org.hierarchy
         base = next(iter(process.address_space)).start_vpn
         slot_1gb = h.l1_slots[2]
@@ -88,7 +88,7 @@ class TestHierarchy1GBPath:
 
     def test_1gb_entries_never_enter_l2(self):
         process = giant_process(1)
-        org = build_thp(process)
+        org = build_organization("THP", process)
         base = next(iter(process.address_space)).start_vpn
         org.hierarchy.access(base)
         org.hierarchy.sync_stats()
@@ -96,7 +96,7 @@ class TestHierarchy1GBPath:
 
     def test_energy_charged_to_1gb_tlb(self):
         process = giant_process(1)
-        org = build_thp(process)
+        org = build_organization("THP", process)
         base = next(iter(process.address_space)).start_vpn
         trace = [base + i * 100 for i in range(2000)]
         result = Simulator(org).run(trace, fast_forward_accesses=100)
@@ -107,7 +107,7 @@ class TestHierarchy1GBPath:
         """One hot 1GB page: Lite shrinks the 4-entry FA TLB to 1 entry."""
         process = giant_process(1)
         lite_params = LiteParams(interval_instructions=1500, reactivate_probability=0.0)
-        org = build_tlb_lite(process, lite_params=lite_params)
+        org = build_organization("TLB_Lite", process, lite_params=lite_params)
         base = next(iter(process.address_space)).start_vpn
         trace = [base + (i % 997) * 200 for i in range(30_000)]
         result = Simulator(org, instructions_per_access=3.0).run(

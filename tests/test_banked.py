@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, run_workload_config
-from repro.core.organizations import build_banked, build_organization, paging_policy_for
+from repro.core.organizations import build_organization, paging_policy_for
 from repro.mem.paging import TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
@@ -95,7 +95,7 @@ class TestBankedConfig:
         return process
 
     def test_builder(self):
-        org = build_banked(self.make_process(), banks=4)
+        org = build_organization("Banked", self.make_process())
         assert org.name == "Banked"
         assert isinstance(org.hierarchy.l1_slots[0].tlb, BankedSetAssociativeTLB)
         assert org.lite is None
@@ -106,7 +106,7 @@ class TestBankedConfig:
         assert org.name == "Banked"
 
     def test_probe_priced_as_bank(self):
-        org = build_banked(self.make_process(), banks=4)
+        org = build_organization("Banked", self.make_process())
         binding = next(b for b in org.bindings if b.name == "L1-4KB")
         # One probe = one 16-entry 4-way access, cheaper than the 64e/4w.
         from repro.energy.cacti import page_tlb_params

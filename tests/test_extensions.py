@@ -11,9 +11,7 @@ import pytest
 from repro.analysis.experiments import ExperimentSettings, run_workload_config
 from repro.core.organizations import (
     EXTENDED_CONFIG_NAMES,
-    build_fa_lite,
     build_organization,
-    build_rmm_pp_lite,
     paging_policy_for,
 )
 from repro.mem.paging import EagerPaging, TransparentHugePaging
@@ -54,7 +52,7 @@ SETTINGS = ExperimentSettings(trace_accesses=25_000, physical_bytes=1 << 28)
 
 class TestFALite:
     def test_structures(self):
-        org = build_fa_lite(make_process(TransparentHugePaging()))
+        org = build_organization("FA_Lite", make_process(TransparentHugePaging()))
         names = {s.name for s in org.hierarchy.all_structures()}
         assert "L1-FA" in names and "L2-4KB" in names
         assert org.lite is not None
@@ -65,7 +63,7 @@ class TestFALite:
         assert result.structure_stats["L1-FA"].lookups == result.accesses
 
     def test_holds_both_page_sizes(self):
-        org = build_fa_lite(make_process(TransparentHugePaging()))
+        org = build_organization("FA_Lite", make_process(TransparentHugePaging()))
         h = org.hierarchy
         process_heap_vpn = 0x10000  # first auto-placed VMA
         h.access(process_heap_vpn)  # 2MB page
@@ -90,14 +88,14 @@ class TestFALite:
 
 class TestRMMPPLite:
     def test_structures(self):
-        org = build_rmm_pp_lite(make_process(EagerPaging("thp")))
+        org = build_organization("RMM_PP_Lite", make_process(EagerPaging("thp")))
         names = {s.name for s in org.hierarchy.all_structures()}
         assert {"L1-mixed", "L2-mixed", "L1-range", "L2-range"} <= names
         assert org.lite is not None
 
     def test_requires_ranges(self):
         with pytest.raises(ValueError):
-            build_rmm_pp_lite(make_process(TransparentHugePaging()))
+            build_organization("RMM_PP_Lite", make_process(TransparentHugePaging()))
 
     def test_range_tlb_serves_hits(self):
         result = run_workload_config(tiny_workload(), "RMM_PP_Lite", SETTINGS)

@@ -113,14 +113,14 @@ class TestEagerRangeSplitting:
 class TestRMMUnderFragmentation:
     @staticmethod
     def run_rmm_lite(pin_stride, seed):
-        from repro.core.organizations import build_rmm_lite
+        from repro.core.organizations import build_organization
         from repro.core.simulator import Simulator
         import numpy as np
 
         memory = fragmented_memory(pin_stride=pin_stride, seed=seed)
         process = Process(memory, EagerPaging("4kb"))
         vma = process.mmap(12_000, name="heap")
-        org = build_rmm_lite(process)
+        org = build_organization("RMM_Lite", process)
         rng = np.random.default_rng(0)
         trace = vma.start_vpn + rng.integers(vma.num_pages, size=20_000)
         result = Simulator(org).run(

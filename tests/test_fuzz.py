@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings
+from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import ConfigurationError, FuzzError
 from repro.resilience.faults import (
     CampaignCell,
@@ -24,7 +25,6 @@ from repro.resilience.faults import (
 from repro.resilience.fuzz import (
     CORPUS_VERSION,
     FUZZ_CASE_VERSION,
-    FUZZ_CONFIG_NAMES,
     ORACLE_NAMES,
     FuzzCase,
     FuzzFailure,
@@ -99,7 +99,7 @@ class TestGeneration:
         seen_configs = set()
         for index in range(24):
             case = generate_case(0, index)
-            assert case.config in FUZZ_CONFIG_NAMES
+            assert case.config in EXTENDED_CONFIG_NAMES
             assert set(case.oracles) <= set(ORACLE_NAMES)
             assert case.trace_entries() > 0
             # every case must survive its own JSON round trip

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, run_workload_config
-from repro.core.organizations import build_l0_filter, build_organization, paging_policy_for
+from repro.core.organizations import build_organization, paging_policy_for
 from repro.core.params import TLB_LITE_PARAMS
 from repro.mem.paging import TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
@@ -34,7 +34,7 @@ def make_process():
 
 class TestL0Hierarchy:
     def test_l0_hit_skips_l1_probes(self):
-        org = build_l0_filter(make_process())
+        org = build_organization("L0_Filter", make_process())
         h = org.hierarchy
         heap_vpn = 0x10000
         h.access(heap_vpn)  # cold: L0 miss, walk, promote to L0
@@ -47,7 +47,7 @@ class TestL0Hierarchy:
         assert stats["L1-4KB"].lookups == 1
 
     def test_huge_entry_promoted_covers_whole_page(self):
-        org = build_l0_filter(make_process())
+        org = build_organization("L0_Filter", make_process())
         h = org.hierarchy
         h.access(0x10000)  # 2MB page
         assert h.l0.peek(0x10000).page_size is PageSize.SIZE_2MB
@@ -61,7 +61,7 @@ class TestL0Hierarchy:
 
     def test_shootdown_clears_l0(self):
         process = make_process()
-        org = build_l0_filter(process)
+        org = build_organization("L0_Filter", process)
         h = org.hierarchy
         h.access(0x10000)
         process.break_huge_page(0x10000)
@@ -95,7 +95,7 @@ class TestL0Configs:
         assert org.lite is not None
 
     def test_every_structure_bound(self):
-        org = build_l0_filter(make_process())
+        org = build_organization("L0_Filter", make_process())
         bound = {binding.name for binding in org.bindings}
         structures = {s.name for s in org.hierarchy.all_structures()}
         assert bound == structures

@@ -155,3 +155,36 @@ class TestRunTimeShared:
         second = run_time_shared(workloads, "THP", SHARING)
         assert first.l1_misses == second.l1_misses
         assert first.total_energy_pj == second.total_energy_pj
+
+    def test_lite_rows_get_the_scaled_interval(self, workloads, monkeypatch):
+        """Every Lite configuration time-shares with the run-scaled interval.
+
+        The paper-scale 1M-instruction interval never ends in a test-sized
+        run, so a Lite row left on it behaves exactly as its Lite-free twin.
+        """
+        import repro.core.multiprocess as multiprocess
+        from repro.core.organizations import EXTENDED_CONFIG_NAMES
+        from repro.workloads import get_workload
+
+        built = {}
+        original = multiprocess.build_organization
+
+        def recording(config_name, *args, **kwargs):
+            built[config_name] = original(config_name, *args, **kwargs)
+            return built[config_name]
+
+        monkeypatch.setattr(multiprocess, "build_organization", recording)
+        for config in EXTENDED_CONFIG_NAMES:
+            run_time_shared(workloads, config, SHARING)
+        lite_rows = {name for name, org in built.items() if org.lite is not None}
+        assert lite_rows == {"TLB_Lite", "RMM_Lite", "FA_Lite", "RMM_PP_Lite", "L0_Lite"}
+        for name in lite_rows:
+            # 2 x 10k accesses: the 10,000-instruction floor of the scaling.
+            assert built[name].lite.params.interval_instructions == 10_000, name
+
+        # The small workloads hit in the L0 filter; omnetpp + mcf reach the L1s.
+        pair = [get_workload("omnetpp"), get_workload("mcf")]
+        sharing = TimeSharingConfig(quantum_accesses=2_000, accesses_per_process=10_000)
+        filtered = run_time_shared(pair, "L0_Filter", sharing)
+        combined = run_time_shared(pair, "L0_Lite", sharing)
+        assert combined.total_energy_pj != filtered.total_energy_pj

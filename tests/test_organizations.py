@@ -1,16 +1,13 @@
-"""Tests for the six configuration builders and their energy bindings."""
+"""Tests for the organization catalogue, its builder and its energy bindings."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.organizations import (
     CONFIG_NAMES,
-    build_4kb,
+    EXTENDED_CONFIG_NAMES,
     build_organization,
-    build_rmm,
-    build_rmm_lite,
-    build_thp,
-    build_tlb_lite,
-    build_tlb_pp,
     paging_policy_for,
 )
 from repro.core.params import HierarchyParams, LiteParams
@@ -30,34 +27,34 @@ def make_process(policy):
 
 class TestBuilders:
     def test_4kb_structures(self):
-        org = build_4kb(make_process(DemandPaging()))
+        org = build_organization("4KB", make_process(DemandPaging()))
         names = {s.name for s in org.hierarchy.all_structures()}
         assert {"L1-4KB", "L1-2MB", "L1-1GB", "L2-4KB"} <= names
         assert org.lite is None
         assert org.hierarchy.l2_range is None
 
     def test_thp_same_structures_as_4kb(self):
-        org = build_thp(make_process(TransparentHugePaging()))
+        org = build_organization("THP", make_process(TransparentHugePaging()))
         assert org.name == "THP"
         assert org.hierarchy.l1_range is None
 
     def test_tlb_lite_monitors_all_l1_page_tlbs(self):
         """Paper Section 4.2.2: Lite resizes the 4KB, 2MB, *and* 1GB TLBs."""
-        org = build_tlb_lite(make_process(TransparentHugePaging()))
+        org = build_organization("TLB_Lite", make_process(TransparentHugePaging()))
         monitored = {unit.name for unit in org.lite.units}
         assert monitored == {"L1-4KB", "L1-2MB", "L1-1GB"}
 
     def test_rmm_has_l2_range_only(self):
-        org = build_rmm(make_process(EagerPaging("thp")))
+        org = build_organization("RMM", make_process(EagerPaging("thp")))
         assert org.hierarchy.l2_range is not None
         assert org.hierarchy.l1_range is None
 
     def test_rmm_requires_ranges(self):
         with pytest.raises(ValueError):
-            build_rmm(make_process(DemandPaging()))
+            build_organization("RMM", make_process(DemandPaging()))
 
     def test_rmm_lite_shape(self):
-        org = build_rmm_lite(make_process(EagerPaging("4kb")))
+        org = build_organization("RMM_Lite", make_process(EagerPaging("4kb")))
         assert org.hierarchy.l1_range is not None
         assert org.hierarchy.l1_range.entries == 4
         assert org.hierarchy.l2_range.entries == 32
@@ -68,14 +65,14 @@ class TestBuilders:
 
     def test_tlb_pp_oracle_covers_huge_chunks(self):
         process = make_process(TransparentHugePaging())
-        org = build_tlb_pp(process)
+        org = build_organization("TLB_PP", process)
         heap = next(iter(process.address_space))
         assert (heap.start_vpn >> 9) in org.hierarchy._huge_chunks
         assert org.hierarchy.l1_mixed.entries == 64
 
     def test_custom_hierarchy_params(self):
         params = HierarchyParams().with_l1_4kb(16, 1)
-        org = build_thp(make_process(TransparentHugePaging()), params)
+        org = build_organization("THP", make_process(TransparentHugePaging()), params)
         l1 = org.hierarchy.l1_slots[0].tlb
         assert l1.entries == 16
         assert l1.ways == 1
@@ -89,7 +86,7 @@ class TestBuilders:
             build_organization("bogus", make_process(DemandPaging()))
 
     def test_summary_renders(self):
-        org = build_rmm_lite(make_process(EagerPaging("4kb")))
+        org = build_organization("RMM_Lite", make_process(EagerPaging("4kb")))
         text = org.summary.render()
         assert "L1-range" in text
         assert "Lite" in text
@@ -115,29 +112,334 @@ class TestPolicies:
 
 class TestEnergyBindings:
     def test_every_structure_has_a_binding(self):
-        org = build_rmm_lite(make_process(EagerPaging("4kb")))
+        org = build_organization("RMM_Lite", make_process(EagerPaging("4kb")))
         bound = {binding.name for binding in org.bindings}
         structures = {s.name for s in org.hierarchy.all_structures()}
         assert bound == structures
 
     def test_l1_4kb_binding_follows_table2(self):
-        org = build_thp(make_process(TransparentHugePaging()))
+        org = build_organization("THP", make_process(TransparentHugePaging()))
         binding = next(b for b in org.bindings if b.name == "L1-4KB")
         for ways, key in ((4, (64, 4)), (2, (32, 2)), (1, (16, 1))):
             assert binding.params_for_ways(ways) == TABLE2_PAGE_TLB[key]
 
     def test_l1_2mb_binding_follows_table2(self):
-        org = build_thp(make_process(TransparentHugePaging()))
+        org = build_organization("THP", make_process(TransparentHugePaging()))
         binding = next(b for b in org.bindings if b.name == "L1-2MB")
         assert binding.params_for_ways(4) == TABLE2_PAGE_TLB[(32, 4)]
         assert binding.params_for_ways(1) == TABLE2_PAGE_TLB[(8, 1)]
 
     def test_components_labelled(self):
-        org = build_rmm_lite(make_process(EagerPaging("4kb")))
+        org = build_organization("RMM_Lite", make_process(EagerPaging("4kb")))
         components = {binding.component for binding in org.bindings}
         assert {"l1_page_tlbs", "l1_range_tlb", "l2_page_tlb", "l2_range_tlb", "mmu_cache"} == components
 
     def test_lite_params_override(self):
         lite_params = LiteParams(interval_instructions=5_000, seed=9)
-        org = build_tlb_lite(make_process(TransparentHugePaging()), lite_params=lite_params)
+        org = build_organization(
+            "TLB_Lite", make_process(TransparentHugePaging()), lite_params=lite_params
+        )
         assert org.lite.params.interval_instructions == 5_000
+
+
+# ----------------------------------------------------------------------
+# Catalogue pin: each organization's observable wiring.  Energy sums in
+# binding order, so the binding order is pinned too.
+# ----------------------------------------------------------------------
+MMU_STRUCTURES = ["MMU-cache-PDE", "MMU-cache-PDPTE", "MMU-cache-PML4"]
+MMU_BINDINGS = [(name, "mmu_cache") for name in MMU_STRUCTURES]
+PAPER_TLB_LITE = LiteParams(
+    interval_instructions=1_000_000,
+    threshold_mode="relative",
+    epsilon_relative=0.125,
+    epsilon_absolute=0.1,
+    reactivate_probability=1 / 64,
+    min_ways=1,
+    seed=0,
+)
+PAPER_RMM_LITE = dataclasses.replace(PAPER_TLB_LITE, threshold_mode="absolute")
+
+#: name -> (hierarchy type, sorted structure names, bindings in energy-sum
+#: order, Lite params or None, rendered summary, paging policy).
+PINNED = {
+    "4KB": (
+        "TLBHierarchy",
+        ["L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "4KB: pages 4KB\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  (huge-page L1 TLBs statically disabled)"
+        ),
+        "4KB demand paging",
+    ),
+    "THP": (
+        "TLBHierarchy",
+        ["L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "THP: pages 4KB+2MB\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w"
+        ),
+        "THP (coverage=1)",
+    ),
+    "TLB_Lite": (
+        "TLBHierarchy",
+        ["L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        PAPER_TLB_LITE,
+        (
+            "TLB_Lite: pages 4KB+2MB\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  - Lite: interval 1000000 instr, ε relative"
+        ),
+        "THP (coverage=1)",
+    ),
+    "RMM": (
+        "TLBHierarchy",
+        ["L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB", "L2-range"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+            ("L2-range", "l2_range_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "RMM: pages 4KB+2MB+range\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  - L2-range 32e fully assoc\n"
+            "  (perfect eager paging)"
+        ),
+        "eager paging (thp pages)",
+    ),
+    "TLB_PP": (
+        "MixedTLBHierarchy",
+        ["L1-mixed", "L2-mixed"] + MMU_STRUCTURES,
+        [
+            ("L1-mixed", "l1_page_tlbs"),
+            ("L2-mixed", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "TLB_PP: pages 4KB+2MB\n"
+            "  - L1-mixed 64e/4w\n"
+            "  - L2-mixed 512e/4w\n"
+            "  (perfect, zero-energy page-size predictor)"
+        ),
+        "THP (coverage=1)",
+    ),
+    "RMM_Lite": (
+        "TLBHierarchy",
+        ["L1-4KB", "L1-range", "L2-4KB", "L2-range"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+            ("L1-range", "l1_range_tlb"),
+            ("L2-range", "l2_range_tlb"),
+        ]
+        + MMU_BINDINGS,
+        PAPER_RMM_LITE,
+        (
+            "RMM_Lite: pages 4KB+range\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L1-range 4e fully assoc\n"
+            "  - L2-4KB 512e/4w\n"
+            "  - L2-range 32e fully assoc\n"
+            "  - Lite: absolute ε 0.1 MPKI\n"
+            "  (perfect eager paging; L1 huge-page TLBs replaced by L1-range)"
+        ),
+        "eager paging (4kb pages)",
+    ),
+    "FA_Lite": (
+        "FullyAssociativeL1Hierarchy",
+        ["L1-FA", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L1-FA", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        PAPER_TLB_LITE,
+        (
+            "FA_Lite: pages 4KB+2MB\n"
+            "  - L1-FA 64e fully assoc (all page sizes)\n"
+            "  - L2-4KB 512e/4w\n"
+            "  - Lite: capacity resizing in powers of two (Section 4.4)"
+        ),
+        "THP (coverage=1)",
+    ),
+    "RMM_PP_Lite": (
+        "MixedTLBHierarchy",
+        ["L1-mixed", "L1-range", "L2-mixed", "L2-range"] + MMU_STRUCTURES,
+        [
+            ("L1-mixed", "l1_page_tlbs"),
+            ("L2-mixed", "l2_page_tlb"),
+            ("L1-range", "l1_range_tlb"),
+            ("L2-range", "l2_range_tlb"),
+        ]
+        + MMU_BINDINGS,
+        PAPER_RMM_LITE,
+        (
+            "RMM_PP_Lite: pages 4KB+2MB+range\n"
+            "  - L1-mixed 64e/4w (perfect predictor)\n"
+            "  - L1-range 4e fully assoc\n"
+            "  - L2-mixed 512e/4w\n"
+            "  - L2-range 32e fully assoc\n"
+            "  - Lite: absolute ε 0.1 MPKI\n"
+            "  (combined TLB_PP + RMM_Lite (paper Section 6.1 future work))"
+        ),
+        "eager paging (thp pages)",
+    ),
+    "L0_Filter": (
+        "L0FilterHierarchy",
+        ["L0-filter", "L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L0-filter", "l1_page_tlbs"),
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "L0_Filter: pages 4KB+2MB\n"
+            "  - L0-filter 8e fully assoc (all page sizes)\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  (TLB filtering baseline (Xue et al. / filtering line of work))"
+        ),
+        "THP (coverage=1)",
+    ),
+    "L0_Lite": (
+        "L0FilterHierarchy",
+        ["L0-filter", "L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L0-filter", "l1_page_tlbs"),
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        PAPER_TLB_LITE,
+        (
+            "L0_Lite: pages 4KB+2MB\n"
+            "  - L0-filter 8e fully assoc (all page sizes)\n"
+            "  - L1-4KB 64e/4w\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  - Lite: on the L1-page TLBs behind the filter\n"
+            "  (TLB filtering baseline (Xue et al. / filtering line of work))"
+        ),
+        "THP (coverage=1)",
+    ),
+    "TLB_Pred": (
+        "PredictedMixedHierarchy",
+        ["L1-mixed", "L2-mixed"] + MMU_STRUCTURES,
+        [
+            ("L1-mixed", "l1_page_tlbs"),
+            ("L2-mixed", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "TLB_Pred: pages 4KB+2MB\n"
+            "  - L1-mixed 64e/4w\n"
+            "  - L2-mixed 512e/4w\n"
+            "  - size predictor 512e direct-mapped\n"
+            "  (realistic (fallible) page-size predictor)"
+        ),
+        "THP (coverage=1)",
+    ),
+    "Banked": (
+        "TLBHierarchy",
+        ["L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "Banked: pages 4KB+2MB\n"
+            "  - L1-4KB 64e/4w in 4 banks (16e probed per access)\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  (banked-TLB baseline (Section 7 related work))"
+        ),
+        "THP (coverage=1)",
+    ),
+    "Semantic": (
+        "TLBHierarchy",
+        ["L1-1GB", "L1-2MB", "L1-4KB", "L2-4KB"] + MMU_STRUCTURES,
+        [
+            ("L1-4KB-stack", "l1_page_tlbs"),
+            ("L1-4KB-globals", "l1_page_tlbs"),
+            ("L1-4KB-heap", "l1_page_tlbs"),
+            ("L1-2MB", "l1_page_tlbs"),
+            ("L1-1GB", "l1_page_tlbs"),
+            ("L2-4KB", "l2_page_tlb"),
+        ]
+        + MMU_BINDINGS,
+        None,
+        (
+            "Semantic: pages 4KB+2MB\n"
+            "  - L1-4KB partitioned: stack 16e + globals 16e + heap 32e (4-way each, one partition probed per access)\n"
+            "  - L1-2MB 32e/4w\n"
+            "  - L2-4KB 512e/4w\n"
+            "  (semantic-region partitioning baseline (Section 7 related work))"
+        ),
+        "THP (coverage=1)",
+    ),
+}
+
+
+def test_pinned_names_are_the_catalogue():
+    assert tuple(PINNED) == EXTENDED_CONFIG_NAMES
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_catalogue_pin(name):
+    hierarchy_type, structures, bindings, lite, summary, policy = PINNED[name]
+    org = build_organization(name, make_process(paging_policy_for(name)))
+    assert org.name == name
+    assert type(org.hierarchy).__name__ == hierarchy_type
+    assert sorted(s.name for s in org.hierarchy.all_structures()) == structures
+    assert [(b.name, b.component) for b in org.bindings] == bindings
+    assert (org.lite and org.lite.params) == lite
+    assert org.summary.render() == summary
+    assert paging_policy_for(name).describe() == policy

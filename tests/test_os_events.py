@@ -9,7 +9,7 @@ end to end.
 import numpy as np
 import pytest
 
-from repro.core.organizations import build_thp, build_tlb_lite
+from repro.core.organizations import build_organization
 from repro.core.params import LiteParams
 from repro.core.simulator import Simulator
 from repro.mem.paging import TransparentHugePaging
@@ -62,7 +62,7 @@ class TestBreakHugePage:
 class TestShootdown:
     def test_stale_huge_entry_removed(self):
         process = make_process()
-        org = build_thp(process)
+        org = build_organization("THP", process)
         heap = next(iter(process.address_space))
         org.hierarchy.access(heap.start_vpn)  # loads the 2MB entry
         slot_2mb = org.hierarchy.l1_slots[1]
@@ -76,7 +76,7 @@ class TestShootdown:
 
     def test_flush_tlbs(self):
         process = make_process()
-        org = build_thp(process)
+        org = build_organization("THP", process)
         heap = next(iter(process.address_space))
         org.hierarchy.access(heap.start_vpn)
         org.hierarchy.flush_tlbs()
@@ -95,7 +95,7 @@ class TestSimulatorEvents:
 
     def test_event_fires_at_position(self):
         process = make_process()
-        org = build_thp(process)
+        org = build_organization("THP", process)
         fired_at = []
 
         def event(organization):
@@ -114,7 +114,7 @@ class TestSimulatorEvents:
         lite_params = LiteParams(
             interval_instructions=3000, reactivate_probability=0.0
         )
-        org = build_tlb_lite(process, lite_params=lite_params, record_history=True)
+        org = build_organization("TLB_Lite", process, lite_params=lite_params, record_history=True)
         hierarchy = org.hierarchy
 
         def breakdown(_organization):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, run_workload_config
-from repro.core.organizations import build_organization, build_semantic, paging_policy_for
+from repro.core.organizations import build_organization, paging_policy_for
 from repro.mem.paging import TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
@@ -93,7 +93,7 @@ class TestPartitionedStructure:
 
 class TestSemanticConfig:
     def test_builder_and_bindings(self):
-        org = build_semantic(make_process())
+        org = build_organization("Semantic", make_process())
         assert org.name == "Semantic"
         bound = {binding.name for binding in org.bindings}
         assert {"L1-4KB-stack", "L1-4KB-globals", "L1-4KB-heap"} <= bound
@@ -106,7 +106,7 @@ class TestSemanticConfig:
     def test_probe_cost_is_partition_sized(self):
         from repro.energy.cacti import page_tlb_params
 
-        org = build_semantic(make_process())
+        org = build_organization("Semantic", make_process())
         binding = next(b for b in org.bindings if b.name == "L1-4KB-stack")
         assert binding.params_for_ways(4).read_pj < page_tlb_params(64, 4).read_pj
 

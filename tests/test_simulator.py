@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.organizations import build_thp, build_tlb_lite
+from repro.core.organizations import build_organization
 from repro.core.params import LiteParams, SimulationParams
 from repro.core.simulator import Simulator
 from repro.mem.paging import TransparentHugePaging
@@ -34,7 +34,7 @@ def make_trace(process, n=3000, seed=0):
 class TestRun:
     def test_accounting_consistency(self):
         process = make_process()
-        sim = Simulator(build_thp(process), instructions_per_access=3.0)
+        sim = Simulator(build_organization("THP", process), instructions_per_access=3.0)
         result = sim.run(make_trace(process), fast_forward_accesses=500)
         assert result.accesses == 2500
         assert result.instructions == 7500
@@ -47,7 +47,7 @@ class TestRun:
         outcomes = []
         for _ in range(2):
             process = make_process()
-            sim = Simulator(build_thp(process), instructions_per_access=3.0)
+            sim = Simulator(build_organization("THP", process), instructions_per_access=3.0)
             result = sim.run(make_trace(process))
             outcomes.append((result.l1_misses, result.l2_misses, result.total_energy_pj))
         assert outcomes[0] == outcomes[1]
@@ -55,36 +55,36 @@ class TestRun:
     def test_fast_forward_excluded_from_stats(self):
         process = make_process()
         trace = make_trace(process)
-        sim = Simulator(build_thp(process))
+        sim = Simulator(build_organization("THP", process))
         result = sim.run(trace, fast_forward_accesses=1000)
         assert result.accesses == len(trace) - 1000
         # Warmed structures -> fewer cold walks than a cold run measures.
         cold_process = make_process()
-        cold = Simulator(build_thp(cold_process)).run(
+        cold = Simulator(build_organization("THP", cold_process)).run(
             make_trace(cold_process), fast_forward_accesses=0
         )
         assert result.l2_misses <= cold.l2_misses
 
     def test_empty_trace_rejected(self):
         process = make_process()
-        sim = Simulator(build_thp(process))
+        sim = Simulator(build_organization("THP", process))
         with pytest.raises(ValueError):
             sim.run([])
 
     def test_fast_forward_must_leave_measurement(self):
         process = make_process()
-        sim = Simulator(build_thp(process))
+        sim = Simulator(build_organization("THP", process))
         with pytest.raises(ValueError):
             sim.run([1, 2, 3], fast_forward_accesses=3)
 
     def test_invalid_ipa(self):
         with pytest.raises(ValueError):
-            Simulator(build_thp(make_process()), instructions_per_access=0)
+            Simulator(build_organization("THP", make_process()), instructions_per_access=0)
 
     def test_accepts_plain_lists(self):
         process = make_process()
         vma = next(iter(process.address_space))
-        sim = Simulator(build_thp(process))
+        sim = Simulator(build_organization("THP", process))
         result = sim.run([vma.start_vpn] * 100, fast_forward_accesses=0)
         assert result.accesses == 100
         assert result.l1_misses == 1
@@ -94,7 +94,7 @@ class TestTimeline:
     def test_window_count(self):
         process = make_process()
         sim = Simulator(
-            build_thp(process), sim_params=SimulationParams(timeline_windows=10)
+            build_organization("THP", process), sim_params=SimulationParams(timeline_windows=10)
         )
         result = sim.run(make_trace(process), fast_forward_accesses=0)
         assert len(result.timeline) == 10
@@ -102,7 +102,7 @@ class TestTimeline:
     def test_timeline_mpki_reconciles_with_total(self):
         process = make_process()
         sim = Simulator(
-            build_thp(process),
+            build_organization("THP", process),
             instructions_per_access=2.0,
             sim_params=SimulationParams(timeline_windows=5),
         )
@@ -113,7 +113,9 @@ class TestTimeline:
 
     def test_timeline_instructions_monotone(self):
         process = make_process()
-        sim = Simulator(build_thp(process), sim_params=SimulationParams(timeline_windows=7))
+        sim = Simulator(
+            build_organization("THP", process), sim_params=SimulationParams(timeline_windows=7)
+        )
         result = sim.run(make_trace(process), fast_forward_accesses=0)
         marks = [sample.instructions for sample in result.timeline]
         assert marks == sorted(marks)
@@ -123,7 +125,7 @@ class TestLiteIntegration:
     def test_intervals_fire(self):
         process = make_process()
         lite_params = LiteParams(interval_instructions=600, reactivate_probability=0.0)
-        org = build_tlb_lite(process, lite_params=lite_params)
+        org = build_organization("TLB_Lite", process, lite_params=lite_params)
         sim = Simulator(org, instructions_per_access=3.0)
         result = sim.run(make_trace(process, 4000), fast_forward_accesses=1000)
         # 3000 measured accesses * 3 ipa / 600 instr = 15 intervals.
@@ -132,7 +134,7 @@ class TestLiteIntegration:
     def test_lite_runs_during_fast_forward_too(self):
         process = make_process()
         lite_params = LiteParams(interval_instructions=600, reactivate_probability=0.0)
-        org = build_tlb_lite(process, lite_params=lite_params)
+        org = build_organization("TLB_Lite", process, lite_params=lite_params)
         sim = Simulator(org, instructions_per_access=3.0)
         sim.run(make_trace(process, 4000), fast_forward_accesses=1000)
         assert org.lite.stats.intervals == 20
@@ -140,7 +142,7 @@ class TestLiteIntegration:
     def test_timeline_carries_active_ways(self):
         process = make_process()
         lite_params = LiteParams(interval_instructions=600, reactivate_probability=0.0)
-        org = build_tlb_lite(process, lite_params=lite_params)
+        org = build_organization("TLB_Lite", process, lite_params=lite_params)
         sim = Simulator(org, sim_params=SimulationParams(timeline_windows=4))
         result = sim.run(make_trace(process, 4000))
         for sample in result.timeline:
@@ -152,7 +154,7 @@ class TestLiteIntegration:
         vma = next(iter(process.address_space))
         trace = [vma.start_vpn] * 20_000
         lite_params = LiteParams(interval_instructions=300, reactivate_probability=0.0)
-        org = build_tlb_lite(process, lite_params=lite_params)
+        org = build_organization("TLB_Lite", process, lite_params=lite_params)
         result = Simulator(org, instructions_per_access=3.0).run(
             trace, fast_forward_accesses=2000
         )
@@ -163,14 +165,14 @@ class TestLiteIntegration:
 class TestResultHelpers:
     def test_hit_shares_sum_to_one(self):
         process = make_process()
-        sim = Simulator(build_thp(process))
+        sim = Simulator(build_organization("THP", process))
         result = sim.run(make_trace(process))
         shares = result.hit_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_summary_line_contains_key_fields(self):
         process = make_process()
-        result = Simulator(build_thp(process), workload_name="toy").run(
+        result = Simulator(build_organization("THP", process), workload_name="toy").run(
             make_trace(process)
         )
         line = result.summary_line()

@@ -3,11 +3,15 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, run_workload_config_with_org
-from repro.core.organizations import build_tlb_pred
+from repro.core.hierarchy import PredictedMixedHierarchy
+from repro.core.organizations import build_organization
+from repro.errors import ConfigurationError
 from repro.mem.paging import TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
 from repro.mmu.translation import PAGES_PER_2MB
+from repro.mmu.walker import PageWalker
+from repro.tlb.set_assoc import SetAssociativeTLB
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Mixture, Zipf
 
@@ -37,7 +41,7 @@ def mixed_size_workload():
 
 class TestPredictor:
     def test_correct_prediction_single_probe(self):
-        org = build_tlb_pred(make_process())
+        org = build_organization("TLB_Pred", make_process())
         h = org.hierarchy
         heap = 0x10000  # 2MB-backed
         h.access(heap)  # cold: predictor said 4KB, region is 2MB -> mispredict
@@ -49,7 +53,7 @@ class TestPredictor:
         assert stats.lookups == 3  # 2 probes for the mispredict + 1
 
     def test_mispredict_retry_counts_as_l1_miss(self):
-        org = build_tlb_pred(make_process())
+        org = build_organization("TLB_Pred", make_process())
         h = org.hierarchy
         heap = 0x10000
         h.access(heap)  # install (2MB), predictor trained
@@ -71,8 +75,15 @@ class TestPredictor:
         assert result.total_energy_pj > 0
 
     def test_invalid_predictor_size(self):
-        with pytest.raises(Exception):
-            build_tlb_pred(make_process(), predictor_entries=100)
+        process = make_process()
+        with pytest.raises(ConfigurationError):
+            PredictedMixedHierarchy(
+                SetAssociativeTLB("L1-mixed", 64, 4),
+                SetAssociativeTLB("L2-mixed", 512, 4),
+                PageWalker(process.page_table),
+                frozenset(),
+                predictor_entries=100,
+            )
 
 
 class TestAgainstIdealisation:
