@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..mmu.translation import PageSize, Translation
 from ..tlb.set_assoc import SetAssociativeTLB
 from ..workloads.tracefile import as_vpn_array
@@ -111,41 +110,6 @@ def encode_trace(trace) -> tuple[list[int], np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# The shared miss tail (identical to TLBHierarchy.access's walk path)
-# ----------------------------------------------------------------------
-def _walk_tail(h: TLBHierarchy, vpn: int) -> None:
-    """Full-L2-miss tail of the reference access path, outlined.
-
-    Must mirror the tail of :meth:`TLBHierarchy.access` exactly: the
-    walk, slot enabling, L1/L2 fills, and the background range-table
-    walk.  The generated drain calls it once per full L2 miss and then
-    checks ``drain_shape`` for a required re-specialization.
-    """
-    h.l2_misses += 1
-    result = h.walker.walk(vpn)
-    translation = result.translation
-    slot = h._slot_by_size.get(translation.page_size)
-    if slot is None:
-        raise ConfigurationError(
-            f"walk returned a {translation.page_size.label()} page but the "
-            "hierarchy has no L1 TLB for that size"
-        )
-    if not slot.enabled:
-        slot.enabled = True
-        h._active_slots.append(slot)
-    slot.tlb.fill(vpn >> slot.shift, translation)
-    if translation.page_size is PageSize.SIZE_4KB:
-        h.l2_page.fill(vpn, translation)
-    range_table = h.range_table
-    if range_table is not None:
-        h.range_walk_refs += range_table.walk_memory_refs()
-        range_entry = range_table.lookup(vpn)
-        if range_entry is not None and h.l2_range is not None:
-            h.l2_range.fill(range_entry)
-            h._l2_range_active = h.l2_range
-
-
-# ----------------------------------------------------------------------
 # Shape-specialized code generation
 # ----------------------------------------------------------------------
 def _generate_drain(h, probe=None):
@@ -183,7 +147,7 @@ def _generate_drain(h, probe=None):
 
     namespace = {
         "h": h,
-        "walk_tail": _walk_tail,
+        "walk_tail": h.walk_tail,
         "slow": h.access,
         "Translation": Translation,
         "S4K": PageSize.SIZE_4KB,
@@ -253,7 +217,7 @@ def _generate_drain(h, probe=None):
     if has_range:
         rbody.append("if rstack:")
         rbody.append("    r0 = rstack[0]")
-        rbody.append("    if r0.base_vpn <= pv < r0.limit_vpn:")
+        rbody.append("    if r0[0] <= pv < r0[1]:")
         rbody.append("        rph += n; rattr += n")
         rbody.append("        hit = -1")
         if range_counters:
@@ -323,7 +287,7 @@ def _generate_drain(h, probe=None):
     if has_range:
         body.append("if rstack:")
         body.append("    r0 = rstack[0]")
-        body.append("    if r0.base_vpn <= vpn < r0.limit_vpn:")
+        body.append("    if r0[0] <= vpn < r0[1]:")
         body.append("        rph += 1; rattr += 1")
         if range_counters:
             body.append("        rc[0] += 1")
@@ -332,7 +296,7 @@ def _generate_drain(h, probe=None):
         body.append("    rank = 1; ln = len(rstack); rhit = None")
         body.append("    while rank < ln:")
         body.append("        rng = rstack[rank]")
-        body.append("        if rng.base_vpn <= vpn < rng.limit_vpn:")
+        body.append("        if rng[0] <= vpn < rng[1]:")
         body.append("            rhit = rng; break")
         body.append("        rank += 1")
         body.append("    if rhit is not None:")
@@ -375,11 +339,11 @@ def _generate_drain(h, probe=None):
         body.append("re_ = l2r.lookup(vpn)")
         if l1r_exists and has_range:
             body.append("if re_ is not None:")
-            body.append("    r.fill(re_)")
+            body.append("    r.fill(re_.base_vpn, re_, re_.num_pages)")
         elif l1r_exists:
             # First L2-range hit latches the L1-range TLB: shape change.
             body.append("if re_ is not None:")
-            body.append("    h.l1_range.fill(re_)")
+            body.append("    h.l1_range.fill(re_.base_vpn, re_, re_.num_pages)")
             body.append("    h._l1_range_active = h.l1_range")
             body.append("    shape_dirty = 1")
     else:
@@ -398,7 +362,7 @@ def _generate_drain(h, probe=None):
     body.append("    if shape_dirty: break")
     body.append("    continue")
     # --- full L2 miss: shared walk tail --------------------------------
-    body.append("walk_tail(h, vpn)")
+    body.append("walk_tail(vpn)")
     body.append(f"if h.drain_shape() != {shape!r}:")
     body.append("    break")
 

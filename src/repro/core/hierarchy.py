@@ -1,15 +1,24 @@
 """Per-core TLB hierarchies: the translation path of every configuration.
 
-Two hierarchy shapes cover all six simulated configurations:
+Five hierarchy classes cover the 13 catalogued configurations
+(:data:`repro.core.organizations.CATALOGUE`):
 
 * :class:`TLBHierarchy` — Intel-style separate L1 TLBs per page size
   (Figure 1), optionally extended with RMM range TLBs (Figure 8).  Used by
-  the 4KB, THP, TLB_Lite, RMM, and RMM_Lite configurations.
+  the 4KB, THP, TLB_Lite, RMM, RMM_Lite, Banked and Semantic
+  configurations.
+* :class:`L0FilterHierarchy` — :class:`TLBHierarchy` behind a tiny
+  fully-associative L0 filter (L0_Filter, L0_Lite; Section 7).
 * :class:`MixedTLBHierarchy` — the TLB_PP configuration: a single
   set-associative L1 (and L2) holding both 4 KB and 2 MB translations,
-  indexed with the help of a *perfect* page-size predictor.
+  indexed with the help of a *perfect* page-size predictor; with range
+  TLBs it is RMM_PP_Lite (Section 6.1).
+* :class:`PredictedMixedHierarchy` — TLB_Pred: the mixed L1 behind a
+  fallible page-size predictor.
+* :class:`FullyAssociativeL1Hierarchy` — FA_Lite: one fully-associative
+  mixed-page-size L1 (Section 4.4).
 
-Both implement the same access protocol per memory operation:
+All implement the same access protocol per memory operation:
 
 1. probe every *enabled* L1 structure in parallel (each probe is charged);
 2. on an all-miss, probe the L2 structures in parallel (7 cycles);
@@ -32,12 +41,8 @@ from ..mem.range_table import RangeTable
 from ..mmu.translation import PageSize, Translation
 from ..mmu.walker import PageWalker
 from ..tlb.base import TranslationStructure
-from ..tlb.mixed_fa import MixedFullyAssociativeTLB
-from ..tlb.range_tlb import RangeTLB
+from ..tlb.fully_assoc import FullyAssociativeTLB
 from ..tlb.set_assoc import SetAssociativeTLB
-
-# ConfigurationError used to be defined here; it now lives in the
-# repro.errors taxonomy and is re-exported for its historical importers.
 
 
 class L1Slot:
@@ -169,8 +174,8 @@ class TLBHierarchy(BaseHierarchy):
         l1_slots: list[L1Slot],
         l2_page: SetAssociativeTLB,
         walker: PageWalker,
-        l1_range: RangeTLB | None = None,
-        l2_range: RangeTLB | None = None,
+        l1_range: FullyAssociativeTLB | None = None,
+        l2_range: FullyAssociativeTLB | None = None,
         range_table: RangeTable | None = None,
     ) -> None:
         super().__init__(walker)
@@ -190,8 +195,8 @@ class TLBHierarchy(BaseHierarchy):
         self.l2_range = l2_range
         self.range_table = range_table
         # Static-enable latches: range TLBs are probed once first filled.
-        self._l1_range_active: RangeTLB | None = None
-        self._l2_range_active: RangeTLB | None = None
+        self._l1_range_active: FullyAssociativeTLB | None = None
+        self._l2_range_active: FullyAssociativeTLB | None = None
         self.range_attributed_hits = 0
 
     # ------------------------------------------------------------------
@@ -234,7 +239,7 @@ class TLBHierarchy(BaseHierarchy):
         l2_range = self._l2_range_active
         range_entry = l2_range.lookup(vpn) if l2_range is not None else None
         if range_entry is not None and self.l1_range is not None:
-            self.l1_range.fill(range_entry)
+            self.l1_range.fill(range_entry.base_vpn, range_entry, range_entry.num_pages)
             self._l1_range_active = self.l1_range
         if page_entry is not None:
             self._slot_4kb.tlb.fill(vpn, page_entry)
@@ -250,6 +255,17 @@ class TLBHierarchy(BaseHierarchy):
         if page_entry is not None or range_entry is not None:
             return
         # --- full L2 miss: page walk (50 cycles) -----------------------
+        self.walk_tail(vpn)
+
+    def walk_tail(self, vpn: int) -> None:
+        """Full-L2-miss tail of :meth:`access`.
+
+        Runs the page walk, enables the served size's L1 slot, fills the
+        L1 and L2 page TLBs, and runs the background range-table walk.
+        The fast engine's generated drain calls this same method once per
+        full L2 miss and then checks :meth:`drain_shape` for a required
+        re-specialization.
+        """
         self.l2_misses += 1
         result = self.walker.walk(vpn)
         translation = result.translation
@@ -271,7 +287,7 @@ class TLBHierarchy(BaseHierarchy):
             self.range_walk_refs += range_table.walk_memory_refs()
             range_entry = range_table.lookup(vpn)
             if range_entry is not None and self.l2_range is not None:
-                self.l2_range.fill(range_entry)
+                self.l2_range.fill(range_entry.base_vpn, range_entry, range_entry.num_pages)
                 self._l2_range_active = self.l2_range
 
     # ------------------------------------------------------------------
@@ -347,7 +363,7 @@ class L0FilterHierarchy(TLBHierarchy):
     filter.
     """
 
-    def __init__(self, *args, l0: MixedFullyAssociativeTLB, **kwargs) -> None:
+    def __init__(self, *args, l0: FullyAssociativeTLB, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.l0 = l0
         self.l0_attributed_hits = 0
@@ -370,7 +386,7 @@ class L0FilterHierarchy(TLBHierarchy):
             if rng is not None:
                 entry = Translation(vpn, vpn + rng.offset, PageSize.SIZE_4KB)
         if entry is not None:
-            self.l0.fill(entry)
+            self.l0.fill(entry.vpn, entry, int(entry.page_size))
 
     def all_structures(self) -> list[TranslationStructure]:
         return [self.l0, *super().all_structures()]
@@ -386,8 +402,7 @@ class L0FilterHierarchy(TLBHierarchy):
 
     def shootdown_huge_page(self, base_vpn: int) -> None:
         super().shootdown_huge_page(base_vpn)
-        while self.l0.invalidate_covering(base_vpn):
-            pass
+        self.l0.invalidate(base_vpn)
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -420,8 +435,8 @@ class MixedTLBHierarchy(BaseHierarchy):
         l2_mixed: SetAssociativeTLB,
         walker: PageWalker,
         huge_chunks: frozenset[int],
-        l1_range: RangeTLB | None = None,
-        l2_range: RangeTLB | None = None,
+        l1_range: FullyAssociativeTLB | None = None,
+        l2_range: FullyAssociativeTLB | None = None,
         range_table: RangeTable | None = None,
     ) -> None:
         super().__init__(walker)
@@ -436,8 +451,8 @@ class MixedTLBHierarchy(BaseHierarchy):
         self.l1_range = l1_range
         self.l2_range = l2_range
         self.range_table = range_table
-        self._l1_range_active: RangeTLB | None = None
-        self._l2_range_active: RangeTLB | None = None
+        self._l1_range_active: FullyAssociativeTLB | None = None
+        self._l2_range_active: FullyAssociativeTLB | None = None
         self.range_attributed_hits = 0
         self.attributed_hits_4kb = 0
         self.attributed_hits_2mb = 0
@@ -470,7 +485,7 @@ class MixedTLBHierarchy(BaseHierarchy):
         l2_range = self._l2_range_active
         range_entry = l2_range.lookup(vpn) if l2_range is not None else None
         if range_entry is not None and self.l1_range is not None:
-            self.l1_range.fill(range_entry)
+            self.l1_range.fill(range_entry.base_vpn, range_entry, range_entry.num_pages)
             self._l1_range_active = self.l1_range
         if entry is not None:
             self.l1_mixed.fill(key, entry)
@@ -490,7 +505,7 @@ class MixedTLBHierarchy(BaseHierarchy):
             self.range_walk_refs += range_table.walk_memory_refs()
             range_entry = range_table.lookup(vpn)
             if range_entry is not None and self.l2_range is not None:
-                self.l2_range.fill(range_entry)
+                self.l2_range.fill(range_entry.base_vpn, range_entry, range_entry.num_pages)
                 self._l2_range_active = self.l2_range
 
     def all_structures(self) -> list[TranslationStructure]:
@@ -647,7 +662,7 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
 
     def __init__(
         self,
-        l1_fa: "MixedFullyAssociativeTLB",
+        l1_fa: FullyAssociativeTLB,
         l2_page: SetAssociativeTLB,
         walker: PageWalker,
     ) -> None:
@@ -665,13 +680,13 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
         self.l1_misses += 1
         entry = self.l2_page.lookup(vpn)
         if entry is not None:
-            self.l1_fa.fill(entry)
+            self.l1_fa.fill(entry.vpn, entry, int(entry.page_size))
             return
         self.l2_misses += 1
-        result = self.walker.walk(vpn)
-        self.l1_fa.fill(result.translation)
-        if result.translation.page_size is PageSize.SIZE_4KB:
-            self.l2_page.fill(vpn, result.translation)
+        translation = self.walker.walk(vpn).translation
+        self.l1_fa.fill(translation.vpn, translation, int(translation.page_size))
+        if translation.page_size is PageSize.SIZE_4KB:
+            self.l2_page.fill(vpn, translation)
 
     def all_structures(self) -> list[TranslationStructure]:
         return [self.l1_fa, self.l2_page, *self.walker.mmu_cache.structures]
@@ -686,7 +701,7 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
     def shootdown_huge_page(self, base_vpn: int) -> None:
         entry = self.l1_fa.peek(base_vpn)
         if entry is not None and entry.page_size is PageSize.SIZE_2MB:
-            self.l1_fa.invalidate_covering(base_vpn)
+            self.l1_fa.invalidate(base_vpn)
 
     def state_dict(self) -> dict:
         state = super().state_dict()

@@ -42,8 +42,6 @@ from ..mmu.translation import PageSize
 from ..mmu.walker import PageWalker
 from ..tlb.banked import BankedSetAssociativeTLB
 from ..tlb.fully_assoc import FullyAssociativeTLB
-from ..tlb.mixed_fa import MixedFullyAssociativeTLB
-from ..tlb.range_tlb import RangeTLB
 from ..tlb.semantic import CLASS_NAMES, SemanticPartitionedTLB, classify_by_vma
 from ..tlb.set_assoc import SetAssociativeTLB
 from .hierarchy import (
@@ -286,6 +284,9 @@ def build_organization(
     spec = _spec(config_name)
     params = params or HierarchyParams()
     walker = PageWalker(process.page_table)
+    # Table 2 pricing of each fully-associative structure, by name, chosen
+    # where the structure is created (the class itself carries no kind).
+    tables = {}
     range_tlbs = {}
     if spec.range_levels:
         if len(process.range_table) == 0:
@@ -294,14 +295,16 @@ def build_organization(
             )
         entries = {1: params.l1_range_entries, 2: params.l2_range_entries}
         range_tlbs = {
-            f"l{level}_range": RangeTLB(f"L{level}-range", entries[level])
+            f"l{level}_range": _fully_assoc(
+                f"L{level}-range", entries[level], _RANGE_TLB_PARAMS, tables
+            )
             for level in spec.range_levels
         }
     ranges = dict(range_tlbs, range_table=process.range_table) if range_tlbs else {}
 
     front = []
     if spec.shape == "fa":
-        l1 = [MixedFullyAssociativeTLB("L1-FA", spec.fa_entries)]
+        l1 = [_fully_assoc("L1-FA", spec.fa_entries, mixed_fa_tlb_params, tables)]
         l2 = _page_tlb("L2-4KB", params.l2_page)
         hierarchy = FullyAssociativeL1Hierarchy(l1[0], l2, walker)
     elif spec.shape == "mixed":
@@ -315,11 +318,11 @@ def build_organization(
         else:
             hierarchy = MixedTLBHierarchy(*args, **ranges)
     else:
-        slots = _paged_l1_slots(spec, params, process)
+        slots = _paged_l1_slots(spec, params, process, tables)
         l1 = [slot.tlb for slot in slots]
         l2 = _page_tlb("L2-4KB", params.l2_page)
         if spec.l0_entries:
-            front = [MixedFullyAssociativeTLB("L0-filter", spec.l0_entries)]
+            front = [_fully_assoc("L0-filter", spec.l0_entries, mixed_fa_tlb_params, tables)]
             hierarchy = L0FilterHierarchy(slots, l2, walker, l0=front[0], **ranges)
         else:
             hierarchy = TLBHierarchy(slots, l2, walker, **ranges)
@@ -328,14 +331,16 @@ def build_organization(
     components.append((l2, "l2_page_tlb"))
     components.extend((tlb, f"{key}_tlb") for key, tlb in range_tlbs.items())
     bindings = [
-        binding for tlb, component in components for binding in _bind(tlb, component)
+        binding
+        for tlb, component in components
+        for binding in _bind(tlb, component, tables.get(tlb.name))
     ]
     mmu_cache = walker.mmu_cache
     bindings += [
         EnergyBinding(mmu_cache.pde.name, "mmu_cache", mmu_cache.pde.stats,
                       lambda _units: MMU_CACHE_PDE),
-        *_bind(mmu_cache.pdpte, "mmu_cache"),
-        *_bind(mmu_cache.pml4, "mmu_cache"),
+        *_bind(mmu_cache.pdpte, "mmu_cache", fully_assoc_params),
+        *_bind(mmu_cache.pml4, "mmu_cache", fully_assoc_params),
     ]
 
     lite = None
@@ -355,8 +360,19 @@ def _page_tlb(name: str, geometry) -> SetAssociativeTLB:
     return SetAssociativeTLB(name, geometry.entries, geometry.ways)
 
 
+#: Table 2 prices a range TLB as a fully-associative TLB with twice the
+#: tag bits (its hit is a double comparison).
+_RANGE_TLB_PARAMS = partial(fully_assoc_params, range_tags=True)
+
+
+def _fully_assoc(name: str, entries: int, params_for, tables: dict) -> FullyAssociativeTLB:
+    """A fully-associative structure, recording its Table 2 pricing in ``tables``."""
+    tables[name] = params_for
+    return FullyAssociativeTLB(name, entries)
+
+
 def _paged_l1_slots(
-    spec: OrganizationSpec, params: HierarchyParams, process: Process
+    spec: OrganizationSpec, params: HierarchyParams, process: Process, tables: dict
 ) -> list[L1Slot]:
     """The Figure 1 L1s: the row's L1-4KB variant, then L1-2MB and L1-1GB."""
     geometry = params.l1_4kb
@@ -377,9 +393,8 @@ def _paged_l1_slots(
     slots = [L1Slot(l1_4kb, PageSize.SIZE_4KB)]
     if spec.huge_l1:
         slots.append(L1Slot(_page_tlb("L1-2MB", params.l1_2mb), PageSize.SIZE_2MB))
-        slots.append(
-            L1Slot(FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries), PageSize.SIZE_1GB)
-        )
+        l1_1gb = _fully_assoc("L1-1GB", params.l1_1gb_entries, fully_assoc_params, tables)
+        slots.append(L1Slot(l1_1gb, PageSize.SIZE_1GB))
     return slots
 
 
@@ -394,13 +409,16 @@ def _huge_chunks(config_name: str, process: Process) -> frozenset[int]:
     return frozenset(chunks)
 
 
-def _bind(structure, component: str) -> list[EnergyBinding]:
+def _bind(structure, component: str, params_for=None) -> list[EnergyBinding]:
     """Energy bindings of one structure (a partitioned TLB binds each part).
 
-    Set-associative TLBs keep their set count as Lite disables ways
-    (Table 2); a banked TLB is charged one bank's read; fully-associative
-    structures scale by active entries.
+    ``params_for`` is the pricing a fully-associative structure was
+    created with; it scales by active entries.  Set-associative TLBs keep
+    their set count as Lite disables ways (Table 2); a banked TLB is
+    charged one bank's read.
     """
+    if params_for is not None:
+        return [EnergyBinding(structure.name, component, structure.stats, params_for)]
     if isinstance(structure, SemanticPartitionedTLB):
         return [
             binding
@@ -409,14 +427,8 @@ def _bind(structure, component: str) -> list[EnergyBinding]:
         ]
     if isinstance(structure, BankedSetAssociativeTLB):
         params_for = partial(_way_params, structure.bank_entries // structure.ways)
-    elif isinstance(structure, SetAssociativeTLB):
-        params_for = partial(_way_params, structure.num_sets)
-    elif isinstance(structure, MixedFullyAssociativeTLB):
-        params_for = mixed_fa_tlb_params
-    elif isinstance(structure, RangeTLB):
-        params_for = partial(fully_assoc_params, range_tags=True)
     else:
-        params_for = fully_assoc_params
+        params_for = partial(_way_params, structure.num_sets)
     return [EnergyBinding(structure.name, component, structure.stats, params_for)]
 
 

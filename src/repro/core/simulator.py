@@ -23,11 +23,10 @@ from time import perf_counter
 
 from ..energy.model import EnergyModel
 from ..energy.performance import miss_cycles
-from ..errors import CheckpointError, SimulationError
+from ..errors import CheckpointError, ConfigurationError, SimulationError
 from ..mmu.page_table import PageFault
 from ..observability import Observability, SimulatorInstrumentation
 from .fastpath import ENGINES, FastEngine
-from .hierarchy import ConfigurationError
 from .organizations import Organization
 from .params import SimulationParams
 from .stats import FaultRecord, SimulationResult, TimelineSample

@@ -16,7 +16,10 @@ identities the codebase relies on into executable checks:
 * **structure sanity** — Lite's active-way counts stay inside
   ``[min, ways]`` and remain powers of two; every set-associative LRU
   stack holds unique keys within its active capacity (a permutation of a
-  subset of resident keys, never duplicated or overfull).
+  subset of resident keys, never duplicated or overfull); every
+  fully-associative stack stays within ``1 <= active <= entries`` and
+  holds pairwise-disjoint intervals.  Banks and semantic partitions are
+  checked like standalone TLBs.
 
 A failed check raises :class:`repro.errors.InvariantViolation` with the
 numbers that went into it.  The auditor is read-only (it only forces a
@@ -64,7 +67,6 @@ class InvariantAuditor:
     def audit_hierarchy(self, hierarchy, lite=None, faulted_accesses: int = 0) -> None:
         """Check a live hierarchy's counters against each other."""
         from ..core.hierarchy import PredictedMixedHierarchy
-        from ..tlb.set_assoc import SetAssociativeTLB
 
         hierarchy.sync_stats()
         accesses = hierarchy.accesses
@@ -127,8 +129,7 @@ class InvariantAuditor:
 
         for structure in hierarchy.all_structures():
             self._audit_structure_stats(structure.name, structure.stats)
-            if isinstance(structure, SetAssociativeTLB):
-                self._audit_set_assoc(structure)
+            self._audit_contents(structure)
 
         if lite is not None:
             self.audit_lite(lite)
@@ -158,6 +159,57 @@ class InvariantAuditor:
             "fill-histogram",
             f"{name}: per-way fill histogram must be non-negative",
             {"structure": name, "fills": dict(stats.fills_by_ways)},
+        )
+
+    def _audit_contents(self, structure) -> None:
+        """Capacity and recency-stack integrity, recursing into composites."""
+        from ..tlb.banked import BankedSetAssociativeTLB
+        from ..tlb.fully_assoc import FullyAssociativeTLB
+        from ..tlb.semantic import SemanticPartitionedTLB
+        from ..tlb.set_assoc import SetAssociativeTLB
+
+        if isinstance(structure, SetAssociativeTLB):
+            self._audit_set_assoc(structure)
+        elif isinstance(structure, FullyAssociativeTLB):
+            self._audit_fully_assoc(structure)
+        elif isinstance(structure, BankedSetAssociativeTLB):
+            for bank in structure.banks:
+                self._audit_contents(bank)
+        elif isinstance(structure, SemanticPartitionedTLB):
+            for partition in structure.partitions:
+                self._audit_contents(partition)
+
+    def _audit_fully_assoc(self, tlb) -> None:
+        """Capacity bounds and interval disjointness of one fully-associative TLB."""
+        context = {
+            "structure": tlb.name,
+            "active_entries": tlb.active_entries,
+            "entries": tlb.entries,
+        }
+        self._check(
+            1 <= tlb.active_entries <= tlb.entries,
+            "active-entries-range",
+            f"{tlb.name}: active entries must stay within [1, entries]",
+            context,
+        )
+        occupancy = tlb.occupancy()
+        self._check(
+            occupancy <= tlb.active_entries,
+            "lru-capacity",
+            f"{tlb.name}: recency stack exceeds its active capacity",
+            {**context, "occupancy": occupancy},
+        )
+        # Sorted by lower bound, intervals are disjoint iff each one ends
+        # before the next begins.
+        intervals = sorted(tlb.intervals())
+        overlaps = [
+            (low, high) for low, high in zip(intervals, intervals[1:]) if high[0] < low[1]
+        ]
+        self._check(
+            not overlaps,
+            "interval-disjoint",
+            f"{tlb.name}: resident intervals overlap (hits would be ambiguous)",
+            {**context, "overlaps": overlaps},
         )
 
     def _audit_set_assoc(self, tlb) -> None:

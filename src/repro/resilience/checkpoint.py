@@ -37,8 +37,9 @@ from ..stateful import require
 
 #: Bump when the snapshot layout changes incompatibly.  Policy: loading
 #: rejects any other version outright (snapshots are short-lived restart
-#: aids, not archival artifacts — see docs/robustness.md).
-CHECKPOINT_VERSION = 1
+#: aids, not archival artifacts — see docs/robustness.md).  Version 2:
+#: fully-associative structures store ``[lo, hi, value]`` interval entries.
+CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------

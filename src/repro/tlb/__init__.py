@@ -1,10 +1,8 @@
-"""TLB structures: set-associative, fully-associative, and range TLBs."""
+"""TLB structures: set-associative and fully-associative (interval) TLBs."""
 
 from .banked import BankedSetAssociativeTLB
 from .base import TLBStats, TranslationStructure
 from .fully_assoc import FullyAssociativeTLB
-from .mixed_fa import MixedFullyAssociativeTLB
-from .range_tlb import RangeTLB
 from .replacement import PLRUSetAssociativeTLB
 from .semantic import SemanticPartitionedTLB, classify_by_vma
 from .set_assoc import SetAssociativeTLB
@@ -15,8 +13,6 @@ __all__ = [
     "SetAssociativeTLB",
     "BankedSetAssociativeTLB",
     "FullyAssociativeTLB",
-    "MixedFullyAssociativeTLB",
-    "RangeTLB",
     "PLRUSetAssociativeTLB",
     "SemanticPartitionedTLB",
     "classify_by_vma",

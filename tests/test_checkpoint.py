@@ -212,6 +212,16 @@ class TestSnapshotFiles:
         with pytest.raises(CheckpointError, match="version"):
             read_snapshot(path)
 
+    def test_pre_interval_layout_rejected(self, tmp_path):
+        """Version-1 snapshots predate the interval-keyed fully-associative stacks."""
+        path = tmp_path / "snap.ckpt"
+        write_snapshot(path, {"loop": {}})
+        envelope = json.loads(path.read_text())
+        envelope["checkpoint_version"] = 1
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="version"):
+            read_snapshot(path)
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         path = tmp_path / "snap.ckpt"
         write_snapshot(path, {"loop": {"boundary": 1}})

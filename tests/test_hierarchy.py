@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.hierarchy import ConfigurationError, L1Slot, MixedTLBHierarchy, TLBHierarchy
+from repro.core.hierarchy import L1Slot, MixedTLBHierarchy, TLBHierarchy
+from repro.errors import ConfigurationError
 from repro.mem.range_table import RangeTable
 from repro.mmu.page_table import PageTable
 from repro.mmu.translation import (
@@ -13,7 +14,6 @@ from repro.mmu.translation import (
 )
 from repro.mmu.walker import PageWalker
 from repro.tlb.fully_assoc import FullyAssociativeTLB
-from repro.tlb.range_tlb import RangeTLB
 from repro.tlb.set_assoc import SetAssociativeTLB
 
 
@@ -34,10 +34,10 @@ def build_hierarchy(pt=None, with_ranges=False, with_l1_range=False, range_table
     ]
     kwargs = {}
     if with_ranges:
-        kwargs["l2_range"] = RangeTLB("L2-range", 32)
+        kwargs["l2_range"] = FullyAssociativeTLB("L2-range", 32)
         kwargs["range_table"] = range_table
         if with_l1_range:
-            kwargs["l1_range"] = RangeTLB("L1-range", 4)
+            kwargs["l1_range"] = FullyAssociativeTLB("L1-range", 4)
     return TLBHierarchy(
         slots, SetAssociativeTLB("L2-4KB", 512, 4), PageWalker(pt), **kwargs
     )
@@ -205,7 +205,7 @@ class TestRangePath:
                 [L1Slot(SetAssociativeTLB("L1-4KB", 64, 4), PageSize.SIZE_4KB)],
                 SetAssociativeTLB("L2", 512, 4),
                 PageWalker(PageTable()),
-                l1_range=RangeTLB("L1-range", 4),
+                l1_range=FullyAssociativeTLB("L1-range", 4),
             )
 
     def test_range_tlbs_require_range_table(self):
@@ -214,7 +214,7 @@ class TestRangePath:
                 [L1Slot(SetAssociativeTLB("L1-4KB", 64, 4), PageSize.SIZE_4KB)],
                 SetAssociativeTLB("L2", 512, 4),
                 PageWalker(PageTable()),
-                l2_range=RangeTLB("L2-range", 32),
+                l2_range=FullyAssociativeTLB("L2-range", 32),
             )
 
 

@@ -428,6 +428,100 @@ PINNED = {
 }
 
 
+# Each binding's Table 2 pricing at every power-of-two unit count (active
+# ways, or active entries of a fully-associative structure) up to its
+# capacity, as (units, read pJ, write pJ, leakage mW) rows.
+_L1_4KB_ENERGY = (
+    (1, 0.697, 0.945, 0.0636),
+    (2, 1.881, 2.377, 0.1491),
+    (4, 5.865, 6.858, 0.3632),
+)
+# Eight 4-way sets: the L1-2MB and the 32-entry heap partition.
+_L1_2MB_ENERGY = (
+    (1, 0.568, 0.764, 0.0295),
+    (2, 1.536, 1.924, 0.0703),
+    (4, 4.801, 5.562, 0.1715),
+)
+# Four 4-way sets: one L1-4KB bank and the 16-entry partitions.
+_BANK_ENERGY = (
+    (1, 0.4039170940385201, 0.4723040802926122, 0.025013246130399062),
+    (2, 1.2588715711768566, 1.4720104407725287, 0.07795774162854804),
+    (4, 3.9234725544102735, 4.587753585361578, 0.24296764394915796),
+)
+_L2_ENERGY = (
+    (1, 0.8316210296859318, 1.2744041503444108, 0.1715437140091196),
+    (2, 2.5918786001282843, 3.9718822964827973, 0.5346431432772667),
+    (4, 8.078, 12.379, 1.6663),
+)
+_PDE_ENERGY = ((1, 1.824, 2.281, 0.1402), (2, 1.824, 2.281, 0.1402))
+# Plain CAM: the L1-1GB TLB and the PDPTE / PML4 caches.
+_FA_ENERGY = (
+    (1, 0.2911656537560727, 0.09726040865424838, 0.01822093731750476),
+    (2, 0.473, 0.158, 0.0296),
+    (4, 0.766, 0.279, 0.05),
+)
+# Range-tagged CAM (double comparison).
+_RANGE_ENERGY = (
+    (1, 0.6843460297794448, 0.4441049539875466, 0.052860615257050145),
+    (2, 1.1117234052504594, 0.7214506262201209, 0.08587232283080792),
+    (4, 1.806, 1.172, 0.1395),
+    (8, 2.9338556556387227, 1.9039196170590158, 0.2266184185833897),
+    (16, 4.766062573711694, 3.092926542851664, 0.3681427071056375),
+    (32, 3.306, 1.568, 0.2401),
+)
+# Masked CAM: the L1-FA and the L0 filter.
+_MIXED_FA_ENERGY = (
+    (1, 0.436748480634109, 0.14589061298137257, 0.02733140597625714),
+    (2, 0.7095, 0.237, 0.0444),
+    (4, 1.149, 0.41850000000000004, 0.07500000000000001),
+    (8, 1.8665560068266291, 0.6798552557501691, 0.12183785945343534),
+    (16, 3.0322291789561113, 1.1044281213169125, 0.19792618661593414),
+    (32, 4.925870833816803, 1.794148776285755, 0.321532038760888),
+    (64, 8.002100777817972, 2.9146032859154234, 0.5223303379776745),
+)
+
+#: binding name -> pricing rows, in every organization that has it.
+BINDING_ENERGY = {
+    "L1-4KB": _L1_4KB_ENERGY,
+    "L1-mixed": _L1_4KB_ENERGY,
+    "L1-2MB": _L1_2MB_ENERGY,
+    "L1-4KB-heap": _L1_2MB_ENERGY,
+    "L1-4KB-stack": _BANK_ENERGY,
+    "L1-4KB-globals": _BANK_ENERGY,
+    "L2-4KB": _L2_ENERGY,
+    "L2-mixed": _L2_ENERGY,
+    "MMU-cache-PDE": _PDE_ENERGY,
+    "L1-1GB": _FA_ENERGY,
+    "MMU-cache-PDPTE": _FA_ENERGY,
+    "MMU-cache-PML4": _FA_ENERGY[:2],
+    "L1-range": _RANGE_ENERGY[:3],
+    "L2-range": _RANGE_ENERGY,
+    "L1-FA": _MIXED_FA_ENERGY,
+    "L0-filter": _MIXED_FA_ENERGY[:4],
+}
+#: Per-organization exceptions: the banked L1-4KB is charged one bank.
+ENERGY_OVERRIDES = {"Banked": {"L1-4KB": _BANK_ENERGY}}
+
+
+def binding_energy(org) -> dict:
+    """Each binding's pricing rows, up to its structure's capacity."""
+    structures = {}
+    for structure in org.hierarchy.all_structures():
+        structures[structure.name] = structure
+        structures.update((p.name, p) for p in getattr(structure, "partitions", ()))
+    rows = {}
+    for binding in org.bindings:
+        structure = structures[binding.name]
+        capacity = getattr(structure, "ways", structure.entries)
+        units, table = 1, []
+        while units <= capacity:
+            params = binding.params_for_ways(units)
+            table.append((units, params.read_pj, params.write_pj, params.leakage_mw))
+            units *= 2
+        rows[binding.name] = tuple(table)
+    return rows
+
+
 def test_pinned_names_are_the_catalogue():
     assert tuple(PINNED) == EXTENDED_CONFIG_NAMES
 
@@ -443,3 +537,7 @@ def test_catalogue_pin(name):
     assert (org.lite and org.lite.params) == lite
     assert org.summary.render() == summary
     assert paging_policy_for(name).describe() == policy
+    overrides = ENERGY_OVERRIDES.get(name, {})
+    assert binding_energy(org) == {
+        b.name: overrides.get(b.name, BINDING_ENERGY[b.name]) for b in org.bindings
+    }

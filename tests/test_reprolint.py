@@ -360,11 +360,11 @@ class TestRepoContracts:
         """The satellite migration: bad geometry raises ConfigurationError."""
         from repro.errors import ConfigurationError, ReproError
         from repro.tlb.banked import BankedSetAssociativeTLB
-        from repro.tlb.mixed_fa import MixedFullyAssociativeTLB
+        from repro.tlb.fully_assoc import FullyAssociativeTLB
         from repro.tlb.replacement import PLRUSetAssociativeTLB
 
         cases = [
-            lambda: MixedFullyAssociativeTLB("t", 0),
+            lambda: FullyAssociativeTLB("t", 0),
             lambda: PLRUSetAssociativeTLB("t", 48, 3),
             lambda: BankedSetAssociativeTLB("t", 64, 4, 3),
             lambda: BankedSetAssociativeTLB("t", 64, 3, 2),

@@ -30,7 +30,7 @@ from repro.errors import (
     did_you_mean,
 )
 from repro.mmu.page_table import PageFault, PageTable, VPN_LIMIT
-from repro.mmu.translation import PageSize, Translation
+from repro.mmu.translation import PageSize, RangeTranslation, Translation
 from repro.resilience import (
     InvariantAuditor,
     adversarial_events,
@@ -183,6 +183,29 @@ class TestFaultCampaigns:
 # ----------------------------------------------------------------------
 # Invariant auditor
 # ----------------------------------------------------------------------
+# Hand corruptions of structure contents that no fill path produces.
+def _overlapping_l1_ranges(hierarchy):
+    hierarchy.l1_range._stack[:] = [
+        [100, 200, RangeTranslation(100, 200, 5100)],
+        [150, 250, RangeTranslation(150, 250, 9150)],
+    ]
+
+
+def _overfull_l0(hierarchy):
+    l0 = hierarchy.l0
+    l0._stack[:] = [[page, page + 1, True] for page in range(l0.active_entries + 1)]
+
+
+def _overfull_bank_set(hierarchy):
+    bank = hierarchy.l1_slots[0].tlb.banks[0]
+    bank._sets[0][:] = [[key, True] for key in range(bank.active_ways + 1)]
+
+
+def _duplicate_partition_key(hierarchy):
+    partition = hierarchy.l1_slots[0].tlb.partitions[0]
+    partition._sets[0][:] = [[0, True], [0, True]]
+
+
 class TestAuditor:
     def test_clean_run_passes_all_checks(self):
         auditor = InvariantAuditor()
@@ -227,6 +250,27 @@ class TestAuditor:
         lite.units[0].tlb.active_ways = 3  # not a power of two
         with pytest.raises(InvariantViolation):
             InvariantAuditor().audit_lite(lite)
+
+    @pytest.mark.parametrize(
+        "config, corrupt, invariant",
+        [
+            ("RMM_Lite", _overlapping_l1_ranges, "interval-disjoint"),
+            ("L0_Filter", _overfull_l0, "lru-capacity"),
+            ("Banked", _overfull_bank_set, "lru-capacity"),
+            ("Semantic", _duplicate_partition_key, "lru-permutation"),
+        ],
+        ids=["RMM_Lite", "L0_Filter", "Banked", "Semantic"],
+    )
+    def test_corrupted_structure_contents_are_caught(self, config, corrupt, invariant):
+        """Fully-associative stacks, banks and partitions are all audited."""
+        prepared = prepare_run(get_workload("povray"), config, SETTINGS)
+        prepared.run()
+        hierarchy = prepared.organization.hierarchy
+        InvariantAuditor().audit_hierarchy(hierarchy, prepared.organization.lite)
+        corrupt(hierarchy)
+        with pytest.raises(InvariantViolation) as excinfo:
+            InvariantAuditor().audit_hierarchy(hierarchy, prepared.organization.lite)
+        assert excinfo.value.invariant == invariant
 
     def test_collecting_mode_records_instead_of_raising(self):
         result = run_workload_config(get_workload("povray"), "THP", SETTINGS)
